@@ -46,7 +46,7 @@ class GroupElement:
 
     @classmethod
     def from_pair(cls, pair: TreePair) -> GroupElement:
-        return cls(reduce_pair(pair))
+        return _element(reduce_pair(pair))
 
     @classmethod
     def from_normal_form(cls, nf: NormalForm) -> GroupElement:
@@ -62,7 +62,7 @@ class GroupElement:
         return caret_count(self.pair.pos)
 
     def normal_form(self) -> NormalForm:
-        return tree_pair_to_normal_form(self.pair)
+        return tree_pair_to_normal_form(self.pair, check=False)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         return multiply(self, other)
@@ -81,8 +81,15 @@ class GroupElement:
         return f"GroupElement({nf!r})" if nf else "GroupElement(identity)"
 
 
+def _element(pair: TreePair) -> GroupElement:
+    """Wrap a pair the caller has reduced, skipping the constructor's check."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "pair", pair)
+    return g
+
+
 def identity() -> GroupElement:
-    return GroupElement(IDENTITY_PAIR)
+    return _element(IDENTITY_PAIR)
 
 
 @lru_cache(maxsize=None)
@@ -103,12 +110,12 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     middle = union_tree(an, bp)
     ap2 = expand_leaves(ap, leaf_growths(an, middle))
     bn2 = expand_leaves(bn, leaf_growths(bp, middle))
-    return GroupElement(reduce_pair(TreePair(bn2, ap2)))
+    return _element(reduce_pair(TreePair(bn2, ap2)))
 
 
 def inverse(a: GroupElement) -> GroupElement:
     """Swap the two trees; an involution with the same caret count."""
-    return GroupElement(TreePair(a.pair.pos, a.pair.neg))
+    return _element(TreePair(a.pair.pos, a.pair.neg))
 
 
 def power(a: GroupElement, k: int) -> GroupElement:
@@ -119,8 +126,9 @@ def power(a: GroupElement, k: int) -> GroupElement:
     while k:
         if k & 1:
             result = multiply(result, base)
-        base = multiply(base, base)
         k >>= 1
+        if k:
+            base = multiply(base, base)
     return result
 
 
@@ -139,10 +147,6 @@ def element_of_word(word: Iterable[Letter]) -> GroupElement:
         g = generator(letter.index)
         acc = multiply(acc, g if letter.sign > 0 else inverse(g))
     return acc
-
-
-def element_of_normal_form(nf: NormalForm) -> GroupElement:
-    return GroupElement.from_normal_form(nf)
 
 
 def to_normal_form(word: Iterable[Letter]) -> NormalForm:

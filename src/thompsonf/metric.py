@@ -148,18 +148,6 @@ def default_oracle() -> WordMetricOracle:
     return _default_oracle
 
 
-def exact_length(g: GroupElement, max_radius: int,
-                 oracle: WordMetricOracle | None = None) -> int | None:
-    oracle = oracle or default_oracle()
-    return oracle.exact_length(g, max_radius)
-
-
-def enumerate_ball(radius: int,
-                   oracle: WordMetricOracle | None = None) -> dict[GroupElement, int]:
-    oracle = oracle or default_oracle()
-    return oracle.ball(radius)
-
-
 @dataclass(frozen=True)
 class BoundsReport:
     """Result of checking N - 2 <= |g| <= 4N - 4 over a whole ball."""

@@ -18,6 +18,7 @@ pair serializes as ``"negtree | postree"``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,21 +34,20 @@ class ParseError(ValueError):
 class Tree:
     """Immutable rooted binary tree node.
 
-    ``Tree()`` is a leaf; ``Tree(left, right)`` is a caret. Structural
-    equality and a hash cached at construction make trees cheap dict keys.
+    ``Tree()`` is a leaf; ``Tree(left, right)`` is a caret. The leaf count
+    and a structural hash are cached at construction, so both are O(1)
+    and trees are cheap dict keys. Equal subtrees may be one shared object.
     """
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "leaves", "_hash")
 
     def __init__(self, left: Tree | None = None, right: Tree | None = None):
         if (left is None) != (right is None):
             raise ValueError("a caret needs exactly two children")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if left is None:
-            object.__setattr__(self, "_hash", hash(("tree-leaf",)))
-        else:
-            object.__setattr__(self, "_hash", hash((left._hash, right._hash)))
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_leaves(self, 1 if left is None else left.leaves + right.leaves)
+        _set_hash(self, _LEAF_HASH if left is None else hash((left._hash, right._hash)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree values are immutable")
@@ -60,20 +60,28 @@ class Tree:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Tree):
             return NotImplemented
-        if self._hash != other._hash:
-            return False
-        if self.is_leaf or other.is_leaf:
-            return self.is_leaf and other.is_leaf
-        return self.left == other.left and self.right == other.right
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a._hash != b._hash or a.leaves != b.leaves:
+                return False
+            if a.left is not None:  # equal leaf counts: b is a caret too
+                todo.append((a.left, b.left))
+                todo.append((a.right, b.right))
+        return True
 
     def __repr__(self) -> str:
         return f"Tree[{format_tree(self)}]"
 
 
+# slot setters that bypass the immutability guard, for construction only
+_set_left, _set_right = Tree.left.__set__, Tree.right.__set__
+_set_leaves, _set_hash = Tree.leaves.__set__, Tree._hash.__set__
+_LEAF_HASH = hash(("tree-leaf",))
 LEAF = Tree()
 
 
@@ -84,16 +92,12 @@ def caret(left: Tree, right: Tree) -> Tree:
 
 def leaf_count(t: Tree) -> int:
     """Number of exposed leaves, always caret_count(t) + 1."""
-    if t.is_leaf:
-        return 1
-    return leaf_count(t.left) + leaf_count(t.right)
+    return t.leaves
 
 
 def caret_count(t: Tree) -> int:
     """Number of internal nodes."""
-    if t.is_leaf:
-        return 0
-    return 1 + caret_count(t.left) + caret_count(t.right)
+    return t.leaves - 1
 
 
 def leaf_addresses(t: Tree) -> tuple[str, ...]:
@@ -119,22 +123,22 @@ def leaf_exponents(t: Tree) -> tuple[int, ...]:
     where the right side is the maximal path of right edges from the root
     and includes the root itself. Right leaves always get 0, and the
     all-right comb has all exponents 0.
+
+    In preorder the carets whose leftmost leaf is n come right before
+    leaf n, so E(n) counts the carets off the right side met since leaf n-1.
     """
     out: list[int] = []
-
-    def walk(node: Tree, zeros: int, ones_prefix: bool) -> None:
-        # zeros: trailing run of left edges in the current address;
-        # ones_prefix: whether the address above that run lies on the right side
-        if node.is_leaf:
-            if zeros == 0:
-                out.append(0)
-            else:
-                out.append(zeros - 1 if ones_prefix else zeros)
-            return
-        walk(node.left, zeros + 1, ones_prefix)
-        walk(node.right, 0, ones_prefix and zeros == 0)
-
-    walk(t, 0, True)
+    run = 0
+    todo = [(t, True)]  # (node, whether it lies on the right side)
+    while todo:
+        node, on_side = todo.pop()
+        if node.left is None:
+            out.append(run)
+            run = 0
+        else:
+            run += not on_side
+            todo.append((node.right, on_side))
+            todo.append((node.left, False))
     return tuple(out)
 
 
@@ -146,61 +150,36 @@ def leaf_exponent(t: Tree, n: int) -> int:
     return exps[n]
 
 
-def _segments(vec: Sequence[int]) -> list[list[int]]:
-    """Split a spine vector into blocks with sum(block) == len(block) - 1.
-
-    Each block is the interior exponent vector of one subtree hanging off
-    the right side; the first-passage split is forced, so the
-    decomposition is unique when it exists.
-    """
-    segs: list[list[int]] = []
-    cur: list[int] = []
-    f = 0
-    for e in vec:
-        if e < 0:
-            raise ValueError("exponents must be nonnegative")
-        cur.append(e)
-        f += e - 1
-        if f == -1:
-            segs.append(cur)
-            cur, f = [], 0
-    if cur:
-        raise ValueError("exponent vector does not close into subtrees")
-    return segs
-
-
-def _tree_from_interior(seg: Sequence[int]) -> Tree:
-    if len(seg) == 1:
-        if seg[0] != 0:
-            raise ValueError("invalid interior exponent vector")
-        return LEAF
-    if seg[0] < 1:
-        raise ValueError("invalid interior exponent vector")
-    rest = [seg[0] - 1, *seg[1:]]
-    f = 0
-    for k, e in enumerate(rest):
-        f += e - 1
-        if f == -1:
-            return caret(_tree_from_interior(rest[: k + 1]),
-                         _tree_from_interior(list(seg[k + 1:])))
-    raise ValueError("invalid interior exponent vector")
-
-
 def tree_from_exponents(vec: Sequence[int]) -> Tree:
     """Inverse of leaf_exponents for a full exponent vector.
 
     The vector must list one entry per leaf; the last entry is always 0
-    because the rightmost leaf sits on the right side.
+    because the rightmost leaf sits on the right side. The other entries
+    split into blocks, one per subtree off the right side, where the sum
+    of (e - 1) first reaches -1. In preorder leaf n follows E(n) carets,
+    one more if it opens a block; the tree is built from that read backwards.
     """
     vec = list(vec)
     if not vec:
         raise ValueError("exponent vector must have at least one entry")
     if vec[-1] != 0:
         raise ValueError("rightmost leaf always has exponent 0")
-    t = LEAF
-    for seg in reversed(_segments(vec[:-1])):
-        t = caret(_tree_from_interior(seg), t)
-    return t
+    carets: list[int] = []
+    f = -1  # running sum of (e - 1) over the open block; -1 when none is open
+    for e in vec[:-1]:
+        if e < 0:
+            raise ValueError("exponents must be nonnegative")
+        carets.append(e + (f == -1))
+        f = max(f, 0) + e - 1
+    if f != -1:
+        raise ValueError("exponent vector does not close into subtrees")
+    stack = [LEAF]
+    for count in reversed(carets):
+        stack.append(LEAF)
+        for _ in range(count):
+            left = stack.pop()
+            stack[-1] = Tree(left, stack[-1])
+    return stack[0]
 
 
 @dataclass(frozen=True)
@@ -211,7 +190,7 @@ class TreePair:
     pos: Tree
 
     def __post_init__(self):
-        if leaf_count(self.neg) != leaf_count(self.pos):
+        if self.neg.leaves != self.pos.leaves:
             raise ValueError("tree pair sides must have equal leaf counts")
 
     def __repr__(self) -> str:
@@ -221,52 +200,94 @@ class TreePair:
 IDENTITY_PAIR = TreePair(LEAF, LEAF)
 
 
-def exposed_caret_positions(t: Tree) -> set[int]:
+def _exposed_carets(t: Tree) -> set[int]:
     """Leaf numbers m such that some caret has exposed leaves m and m+1."""
     out: set[int] = set()
-
-    def walk(node: Tree, offset: int) -> int:
-        if node.is_leaf:
-            return 1
-        nl = walk(node.left, offset)
-        nr = walk(node.right, offset + nl)
-        if node.left.is_leaf and node.right.is_leaf:
-            out.add(offset)
-        return nl + nr
-
-    walk(t, 0)
+    todo = [(t, 0)] if t.left is not None else []  # carets only
+    while todo:
+        node, first = todo.pop()
+        left, right = node.left, node.right
+        if left.left is None:
+            if right.left is None:
+                out.add(first)
+            else:
+                todo.append((right, first + 1))
+        else:
+            todo.append((left, first))
+            if right.left is not None:
+                todo.append((right, first + left.leaves))
     return out
 
 
-def _remove_exposed_caret(node: Tree, m: int, offset: int = 0) -> Tree:
-    # caller guarantees m is an exposed caret position of the tree
-    if node.left.is_leaf and node.right.is_leaf and offset == m:
-        return LEAF
-    nl = leaf_count(node.left)
-    if m + 1 <= offset + nl - 1:
-        return caret(_remove_exposed_caret(node.left, m, offset), node.right)
-    return caret(node.left, _remove_exposed_caret(node.right, m, offset + nl))
+def _siblings(t: Tree) -> dict[tuple[int, int], int]:
+    """Map the leaf range (first, last) of every left child to the last leaf
+    of its parent; leaf ranges name nodes uniquely."""
+    out: dict[tuple[int, int], int] = {}
+    todo = [(t, 0)]
+    while todo:
+        node, first = todo.pop()
+        left = node.left
+        if left is not None:
+            mid = first + left.leaves
+            out[first, mid - 1] = first + node.leaves - 1
+            todo.append((left, first))
+            todo.append((node.right, mid))
+    return out
+
+
+def _rebuild(t: Tree, spans: list[tuple[int, int, Tree]]) -> Tree:
+    """``t`` with its node over ``size`` leaves from leaf ``first`` replaced by
+    ``sub``, for each (first, size, sub) of the sorted, disjoint ``spans``.
+    Only the paths down to the spans are rebuilt; the rest is shared."""
+    done: list[Tree] = []
+    todo = [(t, 0, 0, len(spans))]
+    while todo:
+        node, first, lo, hi = todo.pop()
+        if hi < 0:  # both children of node are rebuilt
+            right = done.pop()
+            done[-1] = Tree(done[-1], right)
+        elif lo == hi:
+            done.append(node)
+        elif spans[lo][0] == first and spans[lo][1] == node.leaves:
+            done.append(spans[lo][2])
+        else:
+            mid = first + node.left.leaves
+            split = bisect_left(spans, (mid,), lo, hi)
+            todo.append((node, first, lo, -1))
+            todo.append((node.right, mid, split, hi))
+            todo.append((node.left, first, lo, split))
+    return done[0]
 
 
 def is_reduced(pair: TreePair) -> bool:
     """True when no caret with exposed leaves (m, m+1) occurs in both trees."""
-    return not (exposed_caret_positions(pair.neg) & exposed_caret_positions(pair.pos))
+    return not (_exposed_carets(pair.neg) & _exposed_carets(pair.pos))
 
 
 def reduce_pair(pair: TreePair) -> TreePair:
-    """Canonical form: repeatedly cancel common exposed carets, lowest m first.
+    """Canonical form: cancel common exposed carets until none is left.
 
-    Idempotent, and confluent: the result does not depend on the removal
-    order, so the lowest-m policy is only there for determinism.
+    Cancellation is confluent, so one pass from left to right suffices. The
+    result's leaves sit on a stack as leaf ranges of the input, and each
+    new leaf merges with the top while the two are siblings in both trees:
+    a merged leaf can only form a new common caret with a neighbour. A
+    reduced pair comes back as is.
     """
     neg, pos = pair.neg, pair.pos
-    while True:
-        common = exposed_caret_positions(neg) & exposed_caret_positions(pos)
-        if not common:
-            return TreePair(neg, pos)
-        m = min(common)
-        neg = _remove_exposed_caret(neg, m)
-        pos = _remove_exposed_caret(pos, m)
+    if not (_exposed_carets(neg) & _exposed_carets(pos)):
+        return pair
+    neg_sib, pos_sib = _siblings(neg), _siblings(pos)
+    starts: list[int] = []  # first input leaf of each result leaf
+    for last in range(neg.leaves):
+        first = last
+        while starts:
+            top = (starts[-1], first - 1)
+            if neg_sib.get(top) != last or pos_sib.get(top) != last:
+                break
+            first = starts.pop()
+        starts.append(first)
+    spans = [(a, b - a, LEAF) for a, b in zip(starts, starts[1:] + [neg.leaves]) if b - a > 1]
+    return TreePair(_rebuild(neg, spans), _rebuild(pos, spans))
 
 
 def validate_address(address: str) -> str:
@@ -309,13 +330,31 @@ def right_subtree_of_root_empty(t: Tree) -> bool:
 
 # --- common refinement helpers (used by group multiplication) ---
 
+def _growths(base: Tree, other: Tree, strict: bool) -> list[Tree]:
+    """Per leaf of ``base``, the subtree of ``other`` below it; LEAF where
+    ``other`` stops above it, unless ``strict``. Shared subtrees are skipped."""
+    out: list[Tree] = []
+    todo = [(base, other)]
+    while todo:
+        x, r = todo.pop()
+        if x is r:
+            out.extend([LEAF] * x.leaves)
+        elif x.left is None:
+            out.append(r)
+        elif r.left is not None:
+            todo.append((x.right, r.right))
+            todo.append((x.left, r.left))
+        elif strict:
+            raise ValueError("refined tree does not contain the base tree")
+        else:
+            out.extend([LEAF] * x.leaves)
+    return out
+
+
 def union_tree(a: Tree, b: Tree) -> Tree:
-    """Smallest tree containing both arguments as prefixes."""
-    if a.is_leaf:
-        return b
-    if b.is_leaf:
-        return a
-    return caret(union_tree(a.left, b.left), union_tree(a.right, b.right))
+    """Smallest tree containing both arguments as prefixes; it is ``a``
+    itself when ``a`` contains ``b``, and shares subtrees with both."""
+    return expand_leaves(a, _growths(a, b, False))
 
 
 def leaf_growths(base: Tree, refined: Tree) -> list[Tree]:
@@ -324,37 +363,14 @@ def leaf_growths(base: Tree, refined: Tree) -> list[Tree]:
     ``refined`` must contain ``base``; the result, fed to expand_leaves,
     carries a refinement of one side of a pair over to the other side.
     """
-    out: list[Tree] = []
-
-    def walk(x: Tree, r: Tree) -> None:
-        if x.is_leaf:
-            out.append(r)
-            return
-        if r.is_leaf:
-            raise ValueError("refined tree does not contain the base tree")
-        walk(x.left, r.left)
-        walk(x.right, r.right)
-
-    walk(base, refined)
-    return out
+    return _growths(base, refined, True)
 
 
 def expand_leaves(t: Tree, growths: Sequence[Tree]) -> Tree:
-    """Replace leaf n of ``t`` by growths[n]."""
-    it = iter(growths)
-
-    def walk(node: Tree) -> Tree:
-        if node.is_leaf:
-            return next(it)
-        return caret(walk(node.left), walk(node.right))
-
-    try:
-        new = walk(t)
-    except StopIteration:
-        raise ValueError("fewer growths than leaves") from None
-    if next(it, None) is not None:
-        raise ValueError("more growths than leaves")
-    return new
+    """Replace leaf n of ``t`` by growths[n], sharing the unchanged subtrees."""
+    if len(growths) != t.leaves:
+        raise ValueError(f"{len(growths)} growths for {t.leaves} leaves")
+    return _rebuild(t, [(n, 1, g) for n, g in enumerate(growths) if g.left is not None])
 
 
 # --- text and DOT serialization ---

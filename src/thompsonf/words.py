@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .trees import (
     ParseError,
@@ -74,11 +74,6 @@ def xinv(index: int) -> Letter:
 
 def word_inverse(word: Sequence[Letter]) -> Word:
     return tuple(l.inverse for l in reversed(word))
-
-
-def is_finite_alphabet(word: Iterable[Letter]) -> bool:
-    """True when the word only uses x0 and x1."""
-    return all(l.index <= 1 for l in word)
 
 
 _TERM_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?")
@@ -181,9 +176,13 @@ def _compress(vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((i, e) for i, e in enumerate(vec) if e)
 
 
-def tree_pair_to_normal_form(pair: TreePair) -> NormalForm:
-    """Read the normal form off a reduced pair via leaf exponents."""
-    if not is_reduced(pair):
+def tree_pair_to_normal_form(pair: TreePair, check: bool = True) -> NormalForm:
+    """Read the normal form off a reduced pair via leaf exponents.
+
+    ``check=False`` skips the reducedness test, for a pair already known
+    to be reduced, such as a group element's own.
+    """
+    if check and not is_reduced(pair):
         raise ValueError("tree pair must be reduced")
     return NormalForm(
         _compress(leaf_exponents(pair.pos)),
@@ -212,15 +211,13 @@ def normal_form_to_tree_pair(nf: NormalForm) -> TreePair:
 
     Each side is decoded from its exponent vector; the shorter side is
     padded with bottom-right carets (exponent 0 slots) until the leaf
-    counts agree. The construction is validated by re-reading exponents.
+    counts agree.
     """
     pos_exps, neg_exps = dict(nf.positive), dict(nf.negative)
     slots = max(_spine_slots(pos_exps), _spine_slots(neg_exps))
     pos_vec = [pos_exps.get(i, 0) for i in range(slots)] + [0]
     neg_vec = [neg_exps.get(i, 0) for i in range(slots)] + [0]
-    pair = TreePair(tree_from_exponents(neg_vec), tree_from_exponents(pos_vec))
-    assert tree_pair_to_normal_form(pair) == nf, "exponent re-read mismatch"
-    return pair
+    return TreePair(tree_from_exponents(neg_vec), tree_from_exponents(pos_vec))
 
 
 # --- rewriting oracle -------------------------------------------------

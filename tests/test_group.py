@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from thompsonf import (
     x,
     xinv,
 )
+from thompsonf import group as group_module
 from thompsonf.metric import random_element
 
 from conftest import el, elements
@@ -95,6 +97,41 @@ class TestPowers:
                 ((0, k),), tuple((i, 1) for i in range(1, k + 1))
             )
             assert power(z, k).caret_count == k + 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 12, 200, 255, 256])
+    def test_power_squares_only_while_bits_remain(self, k, monkeypatch):
+        z, calls = el("x0 x1^-1"), []
+        real = group_module.multiply
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(group_module, "multiply", counting)
+        assert power(z, k).caret_count == k + 2
+        assert len(calls) == k.bit_length() + bin(k).count("1") - 1
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+class TestDeepElements:
+    def test_power_of_x0_4096(self, default_recursion_limit):
+        g = power(generator(0), 4096)
+        assert g.caret_count == 4097
+        assert g.normal_form() == NormalForm(((0, 4096),), ())
+
+    def test_1100_repeated_products(self, default_recursion_limit):
+        x0, acc = generator(0), identity()
+        for _ in range(1100):
+            acc = multiply(acc, x0)
+        assert acc == power(x0, 1100)
+        assert multiply(acc, inverse(acc)) == identity()
 
 
 class TestCommutators:

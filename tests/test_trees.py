@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thompsonf import (
@@ -26,10 +26,9 @@ from thompsonf import (
     tree_from_exponents,
     tree_to_dot,
 )
+from thompsonf.metric import random_tree
 from thompsonf.trees import (
-    _remove_exposed_caret,
     expand_leaves,
-    exposed_caret_positions,
     leaf_addresses,
     leaf_growths,
     union_tree,
@@ -40,6 +39,46 @@ from conftest import el, tree_pairs, trees
 LL = caret(LEAF, LEAF)
 RIGHT_COMB_2 = caret(LEAF, LL)
 LEFT_COMB_2 = caret(LL, LEAF)
+
+
+# --- reference reduction: recursive, one cancellation per pass, lowest m first ---
+
+def exposed_caret_positions(t):
+    """Leaf numbers m such that some caret has exposed leaves m and m+1."""
+    out = set()
+
+    def walk(node, offset):
+        if node.is_leaf:
+            return 1
+        nl = walk(node.left, offset)
+        nr = walk(node.right, offset + nl)
+        if node.left.is_leaf and node.right.is_leaf:
+            out.add(offset)
+        return nl + nr
+
+    walk(t, 0)
+    return out
+
+
+def _remove_exposed_caret(node, m, offset=0):
+    # caller guarantees m is an exposed caret position of the tree
+    if node.left.is_leaf and node.right.is_leaf and offset == m:
+        return LEAF
+    nl = leaf_count(node.left)
+    if m + 1 <= offset + nl - 1:
+        return caret(_remove_exposed_caret(node.left, m, offset), node.right)
+    return caret(node.left, _remove_exposed_caret(node.right, m, offset + nl))
+
+
+def reference_reduce(pair):
+    neg, pos = pair.neg, pair.pos
+    while True:
+        common = exposed_caret_positions(neg) & exposed_caret_positions(pos)
+        if not common:
+            return TreePair(neg, pos)
+        m = min(common)
+        neg = _remove_exposed_caret(neg, m)
+        pos = _remove_exposed_caret(pos, m)
 
 
 class TestCounts:
@@ -129,6 +168,39 @@ class TestReduce:
         reduced = reduce_pair(TreePair(neg, pos))
         assert reduced == TreePair(RIGHT_COMB_2, LEFT_COMB_2)
         assert caret_count(reduced.neg) == 2
+
+    @given(tree_pairs(max_carets=10))
+    def test_agrees_with_reference(self, pair):
+        assert reduce_pair(pair) == reference_reduce(pair)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 300), st.randoms(use_true_random=False))
+    def test_full_cancellation_agrees_with_reference(self, carets, rng):
+        # the unreduced product a * a^-1 has the same tree on both sides
+        t = random_tree(rng, carets)
+        pair = TreePair(t, t)
+        assert reduce_pair(pair) == reference_reduce(pair) == TreePair(LEAF, LEAF)
+
+    @settings(deadline=None)
+    @given(tree_pairs(max_carets=8), st.randoms(use_true_random=False))
+    def test_shared_growths_agree_with_reference(self, pair, rng):
+        # growing the same leaves of both sides by the same (shared) subtrees
+        # gives another representative of the same element
+        growths = [random_tree(rng, rng.randint(1, 4)) if rng.random() < 0.5 else LEAF
+                   for _ in range(leaf_count(pair.neg))]
+        grown = TreePair(expand_leaves(pair.neg, growths), expand_leaves(pair.pos, growths))
+        assert reduce_pair(grown) == reference_reduce(grown) == reduce_pair(pair)
+
+    def test_reduced_pair_comes_back_as_is(self):
+        pair = el("x0 x1^-1 x3").pair
+        assert reduce_pair(pair) is pair
+
+    def test_deep_identical_combs_cancel(self):
+        # far deeper than the default recursion limit
+        comb = LEAF
+        for _ in range(5000):
+            comb = caret(comb, LEAF)
+        assert reduce_pair(TreePair(comb, comb)) == TreePair(LEAF, LEAF)
 
     def test_mismatched_leaf_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -236,6 +308,21 @@ class TestRefinementHelpers:
         gb = leaf_growths(b, u)
         assert expand_leaves(a, ga) == u
         assert expand_leaves(b, gb) == u
+
+    @given(trees(max_leaves=8), trees(max_leaves=8))
+    def test_refinement_shares_unchanged_subtrees(self, a, b):
+        u = union_tree(a, b)
+        assert union_tree(u, a) is u and union_tree(u, b) is u
+        assert leaf_growths(u, u) == [LEAF] * leaf_count(u)
+        assert expand_leaves(a, [LEAF] * leaf_count(a)) is a
+
+    def test_deep_trees_compare_without_recursion(self):
+        # far deeper than the default recursion limit
+        left, right, other = LEFT_COMB_2, LEFT_COMB_2, RIGHT_COMB_2
+        for _ in range(5000):
+            left, right, other = caret(left, LEAF), caret(right, LEAF), caret(other, LEAF)
+        assert left == right and left is not right
+        assert left != other  # same size; they differ only at the bottom
 
     def test_expand_arity_errors(self):
         with pytest.raises(ValueError):

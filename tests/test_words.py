@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from thompsonf import (
     LEAF,
@@ -26,6 +27,14 @@ from thompsonf import (
 from thompsonf.metric import random_element
 
 from conftest import el, elements, tree_pairs
+
+
+@st.composite
+def normal_forms(draw):
+    part = st.dictionaries(st.integers(0, 12), st.integers(1, 4), max_size=6)
+    pos, neg = draw(part), draw(part)
+    assume(all(i + 1 in pos or i + 1 in neg for i in pos.keys() & neg.keys()))
+    return NormalForm(tuple(sorted(pos.items())), tuple(sorted(neg.items())))
 
 
 class TestParsing:
@@ -147,6 +156,11 @@ class TestBijection:
         reduced = reduce_pair(pair)
         nf = tree_pair_to_normal_form(reduced)
         assert normal_form_to_tree_pair(nf) == reduced
+
+    @given(normal_forms())
+    def test_build_then_read_roundtrip(self, nf):
+        # tree_pair_to_normal_form also rejects a pair that is not reduced
+        assert tree_pair_to_normal_form(normal_form_to_tree_pair(nf)) == nf
 
     @given(tree_pairs(max_carets=8))
     def test_exponent_mass_is_total(self, pair):
