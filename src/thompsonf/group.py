@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable
 
 from .trees import (
@@ -24,6 +25,7 @@ from .trees import (
     is_reduced,
     leaf_growths,
     reduce_pair,
+    reduce_product,
     union_tree,
 )
 from .words import (
@@ -103,14 +105,21 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
 
     The pairs are unreduced to representatives sharing a middle tree,
     the union of a's negative and b's positive tree; the outer trees,
-    expanded by the same leaf splittings, form the product pair.
+    expanded by the same leaf splittings, form the product pair, which
+    reduce_product cancels locally. Cost: O(size of the smaller factor)
+    plus the root paths rebuilt to the growths and cancelled carets,
+    so multiplying a large element by a generator does not walk it.
     """
     an, ap = a.pair.neg, a.pair.pos
     bn, bp = b.pair.neg, b.pair.pos
     middle = union_tree(an, bp)
-    ap2 = expand_leaves(ap, leaf_growths(an, middle))
-    bn2 = expand_leaves(bn, leaf_growths(bp, middle))
-    return _element(reduce_pair(TreePair(bn2, ap2)))
+    a_spans, b_spans = leaf_growths(an, middle), leaf_growths(bp, middle)
+    ap2, bn2 = expand_leaves(ap, a_spans), expand_leaves(bn, b_spans)
+    if ap.leaves <= bn.leaves:
+        ap2, bn2 = reduce_product(ap, a_spans, ap2, bn2)
+    else:
+        bn2, ap2 = reduce_product(bn, b_spans, bn2, ap2)
+    return _element(TreePair(bn2, ap2))
 
 
 def inverse(a: GroupElement) -> GroupElement:
@@ -141,10 +150,16 @@ def commutator_is_trivial(a: GroupElement, b: GroupElement) -> bool:
 
 
 def element_of_word(word: Iterable[Letter]) -> GroupElement:
-    """Product of the generator diagrams named by the word."""
+    """Product of the generator diagrams named by the word. A run of k >= 2
+    equal letters costs one product, by x_i^k or x_i^-k built from its
+    normal form."""
     acc = identity()
-    for letter in word:
-        g = generator(letter.index)
+    for letter, run in groupby(word):
+        k = sum(1 for _ in run)
+        if k == 1:
+            g = generator(letter.index)
+        else:  # the pair of a normal form is reduced
+            g = _element(normal_form_to_tree_pair(NormalForm(((letter.index, k),), ())))
         acc = multiply(acc, g if letter.sign > 0 else inverse(g))
     return acc
 

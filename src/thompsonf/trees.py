@@ -12,6 +12,13 @@ All values here are immutable and hashable, so reduced pairs can serve
 directly as dictionary keys (the word-metric oracle depends on this).
 Every operation is a pure function; nothing needs synchronization.
 
+Trees share untouched subtrees, and no walk here recurses more than 64
+levels deep, so Python's recursion limit bounds no element's size. A
+product of reduced pairs (union_tree, leaf_growths, expand_leaves,
+reduce_product) costs time in the size of the smaller factor plus the
+root paths it rebuilds, not in the size of the larger factor;
+reduce_pair is linear.
+
 Text format (bit-exact): ``tree ::= "L" | "(" tree " " tree ")"`` and a
 pair serializes as ``"negtree | postree"``.
 """
@@ -103,15 +110,14 @@ def caret_count(t: Tree) -> int:
 def leaf_addresses(t: Tree) -> tuple[str, ...]:
     """Addresses of the exposed leaves in leaf order (0 = left, 1 = right)."""
     out: list[str] = []
-
-    def walk(node: Tree, addr: str) -> None:
-        if node.is_leaf:
+    todo = [(t, "")]
+    while todo:
+        node, addr = todo.pop()
+        if node.left is None:
             out.append(addr)
-            return
-        walk(node.left, addr + "0")
-        walk(node.right, addr + "1")
-
-    walk(t, "")
+        else:
+            todo.append((node.right, addr + "1"))
+            todo.append((node.left, addr + "0"))
     return tuple(out)
 
 
@@ -219,26 +225,17 @@ def _exposed_carets(t: Tree) -> set[int]:
     return out
 
 
-def _siblings(t: Tree) -> dict[tuple[int, int], int]:
-    """Map the leaf range (first, last) of every left child to the last leaf
-    of its parent; leaf ranges name nodes uniquely."""
-    out: dict[tuple[int, int], int] = {}
-    todo = [(t, 0)]
-    while todo:
-        node, first = todo.pop()
-        left = node.left
-        if left is not None:
-            mid = first + left.leaves
-            out[first, mid - 1] = first + node.leaves - 1
-            todo.append((left, first))
-            todo.append((node.right, mid))
-    return out
+# A tree of at most this many leaves is less deep, so _rebuild recurses on
+# it: on the small trees of most products that beats keeping its own stack.
+_SHALLOW = 64
 
 
 def _rebuild(t: Tree, spans: list[tuple[int, int, Tree]]) -> Tree:
     """``t`` with its node over ``size`` leaves from leaf ``first`` replaced by
     ``sub``, for each (first, size, sub) of the sorted, disjoint ``spans``.
     Only the paths down to the spans are rebuilt; the rest is shared."""
+    if t.leaves <= _SHALLOW:
+        return _rebuild_shallow(t, 0, spans, 0, len(spans)) if spans else t
     done: list[Tree] = []
     todo = [(t, 0, 0, len(spans))]
     while todo:
@@ -259,6 +256,19 @@ def _rebuild(t: Tree, spans: list[tuple[int, int, Tree]]) -> Tree:
     return done[0]
 
 
+def _rebuild_shallow(node: Tree, first: int, spans: list, lo: int, hi: int) -> Tree:
+    if spans[lo][0] == first and spans[lo][1] == node.leaves:
+        return spans[lo][2]
+    left, right = node.left, node.right
+    mid = first + left.leaves
+    split = bisect_left(spans, (mid,), lo, hi)
+    if lo < split:
+        left = _rebuild_shallow(left, first, spans, lo, split)
+    if split < hi:
+        right = _rebuild_shallow(right, mid, spans, split, hi)
+    return Tree(left, right)
+
+
 def is_reduced(pair: TreePair) -> bool:
     """True when no caret with exposed leaves (m, m+1) occurs in both trees."""
     return not (_exposed_carets(pair.neg) & _exposed_carets(pair.pos))
@@ -267,27 +277,60 @@ def is_reduced(pair: TreePair) -> bool:
 def reduce_pair(pair: TreePair) -> TreePair:
     """Canonical form: cancel common exposed carets until none is left.
 
-    Cancellation is confluent, so one pass from left to right suffices. The
-    result's leaves sit on a stack as leaf ranges of the input, and each
-    new leaf merges with the top while the two are siblings in both trees:
-    a merged leaf can only form a new common caret with a neighbour. A
-    reduced pair comes back as is.
+    Cancellation is confluent; the carets that cancel are found by one
+    scan and one walk per tree (see _cancel). A reduced pair comes back as is.
     """
-    neg, pos = pair.neg, pair.pos
-    if not (_exposed_carets(neg) & _exposed_carets(pos)):
+    hits = sorted(_exposed_carets(pair.neg) & _exposed_carets(pair.pos))
+    if not hits:
         return pair
-    neg_sib, pos_sib = _siblings(neg), _siblings(pos)
-    starts: list[int] = []  # first input leaf of each result leaf
-    for last in range(neg.leaves):
-        first = last
-        while starts:
-            top = (starts[-1], first - 1)
-            if neg_sib.get(top) != last or pos_sib.get(top) != last:
+    return TreePair(*_cancel(pair.neg, pair.pos, hits, _probe(pair.pos, hits)[1]))
+
+
+def _probe(t: Tree, positions: list[int]) -> tuple[list[int], dict]:
+    """One walk over the union of the root paths of ``t`` to the sorted
+    ``positions``. Returns the positions m where ``t`` has a caret with
+    exposed leaves m and m+1, and the parent of every node the walk
+    visits, each node named by its leaf range (first, size)."""
+    hits: list[int] = []
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    todo = [(t, 0, 0, len(positions))] if positions else []
+    while todo:
+        node, first, lo, hi = todo.pop()
+        if node.leaves == 2:  # the only position left here is first
+            hits.append(first)
+            continue
+        mid = first + node.left.leaves
+        split = bisect_left(positions, mid - 1, lo, hi)  # m + 1 < mid: left
+        rest = bisect_left(positions, mid, split, hi)  # m == mid - 1 straddles
+        up = (first, node.leaves)
+        if rest < hi:
+            parent[mid, node.right.leaves] = up
+            todo.append((node.right, mid, rest, hi))
+        if lo < split:
+            parent[first, node.left.leaves] = up
+            todo.append((node.left, first, lo, split))
+    return hits, parent
+
+
+def _cancel(a: Tree, b: Tree, hits: list[int], up_b: dict) -> tuple[Tree, Tree]:
+    """Cancel the common exposed carets ``hits`` of ``a`` and ``b`` and all
+    that they uncover; ``up_b`` maps nodes of ``b`` on the hits' root paths
+    to their parents. A cancelled caret can only expose its parent, which
+    cancels when its other child is a leaf or cancelled, in both trees;
+    then each tree is rebuilt once."""
+    up_a = _probe(a, hits)[1]
+    cancelled: dict[int, int] = {}  # first leaf -> size of each topmost cancelled node
+    for first in hits:
+        size = 2
+        while (p := up_a.get((first, size))) is not None and p == up_b.get((first, size)):
+            sib = first + size if p[0] == first else p[0]
+            if p[1] - size > 1 and cancelled.get(sib) != p[1] - size:
                 break
-            first = starts.pop()
-        starts.append(first)
-    spans = [(a, b - a, LEAF) for a, b in zip(starts, starts[1:] + [neg.leaves]) if b - a > 1]
-    return TreePair(_rebuild(neg, spans), _rebuild(pos, spans))
+            cancelled.pop(sib, None)
+            first, size = p
+        cancelled[first] = size
+    cut = sorted((first, size, LEAF) for first, size in cancelled.items())
+    return _rebuild(a, cut), _rebuild(b, cut)
 
 
 def validate_address(address: str) -> str:
@@ -328,57 +371,99 @@ def right_subtree_of_root_empty(t: Tree) -> bool:
     return t.right.is_leaf
 
 
-# --- common refinement helpers (used by group multiplication) ---
+# --- common refinement and local cancellation (used by group multiplication) ---
 
-def _growths(base: Tree, other: Tree, strict: bool) -> list[Tree]:
-    """Per leaf of ``base``, the subtree of ``other`` below it; LEAF where
-    ``other`` stops above it, unless ``strict``. Shared subtrees are skipped."""
-    out: list[Tree] = []
-    todo = [(base, other)]
+def _spans(base: Tree, other: Tree, strict: bool) -> list[tuple[int, int, Tree]]:
+    """Sorted spans (n, 1, sub), one per leaf n of ``base`` below which
+    ``other`` goes on as ``sub``; ``other`` stopping above a caret of
+    ``base`` raises if ``strict``. Shared subtrees are skipped."""
+    out: list[tuple[int, int, Tree]] = []
+    todo = [(base, other, 0)]
     while todo:
-        x, r = todo.pop()
+        x, r, first = todo.pop()
         if x is r:
-            out.extend([LEAF] * x.leaves)
-        elif x.left is None:
-            out.append(r)
+            continue
+        if x.left is None:
+            if r.left is not None:
+                out.append((first, 1, r))
         elif r.left is not None:
-            todo.append((x.right, r.right))
-            todo.append((x.left, r.left))
+            todo.append((x.right, r.right, first + x.left.leaves))
+            todo.append((x.left, r.left, first))
         elif strict:
             raise ValueError("refined tree does not contain the base tree")
-        else:
-            out.extend([LEAF] * x.leaves)
     return out
 
 
 def union_tree(a: Tree, b: Tree) -> Tree:
     """Smallest tree containing both arguments as prefixes; it is ``a``
     itself when ``a`` contains ``b``, and shares subtrees with both."""
-    return expand_leaves(a, _growths(a, b, False))
+    return _rebuild(a, _spans(a, b, False))
 
 
-def leaf_growths(base: Tree, refined: Tree) -> list[Tree]:
-    """Per-leaf subtrees of ``refined`` below the leaves of ``base``.
+def leaf_growths(base: Tree, refined: Tree) -> list[tuple[int, int, Tree]]:
+    """Sorted spans (n, 1, sub): leaf n of ``base`` grows into the subtree
+    ``sub`` of ``refined``; leaves that stay leaves are left out.
 
     ``refined`` must contain ``base``; the result, fed to expand_leaves,
     carries a refinement of one side of a pair over to the other side.
     """
-    return _growths(base, refined, True)
+    return _spans(base, refined, True)
 
 
-def expand_leaves(t: Tree, growths: Sequence[Tree]) -> Tree:
-    """Replace leaf n of ``t`` by growths[n], sharing the unchanged subtrees."""
-    if len(growths) != t.leaves:
-        raise ValueError(f"{len(growths)} growths for {t.leaves} leaves")
-    return _rebuild(t, [(n, 1, g) for n, g in enumerate(growths) if g.left is not None])
+def expand_leaves(t: Tree, spans: list[tuple[int, int, Tree]]) -> Tree:
+    """Grow leaf n of ``t`` into ``sub`` for each span (n, 1, sub) of the
+    sorted ``spans``, sharing the unchanged subtrees."""
+    if spans and not 0 <= spans[0][0] <= spans[-1][0] < t.leaves:
+        raise ValueError(f"spans from leaf {spans[0][0]} to {spans[-1][0]} "
+                         f"outside a tree of {t.leaves} leaves")
+    return _rebuild(t, spans)
+
+
+def _candidates(base: Tree, spans: list[tuple[int, int, Tree]]) -> list[int]:
+    """Sorted exposed carets of ``base`` over two leaves no span grows,
+    numbered as in ``base`` grown by ``spans``."""
+    out: list[int] = []
+    shift = j = 0
+    for m in sorted(_exposed_carets(base)):
+        while j < len(spans) and spans[j][0] < m:
+            shift += spans[j][2].leaves - 1
+            j += 1
+        if j == len(spans) or spans[j][0] > m + 1:
+            out.append(m + shift)
+    return out
+
+
+def reduce_product(base: Tree, spans: list[tuple[int, int, Tree]],
+                   grown: Tree, other: Tree) -> tuple[Tree, Tree]:
+    """Reduce the pair of outer trees of a product of two reduced pairs.
+
+    ``grown`` is ``base``, an outer tree of one factor, expanded by
+    ``spans``; ``other`` is the other factor's expanded outer tree. A
+    growth caret never cancels (its factor would not be reduced), so the
+    common exposed carets are the exposed carets of ``base`` over ungrown
+    leaves that ``other`` has too. Both trees come back in argument order.
+    Cost: O(|base|) plus the root paths walked to its candidates and
+    rebuilt above the cancelled carets.
+    """
+    hits, up_other = _probe(other, _candidates(base, spans))
+    return _cancel(grown, other, hits, up_other) if hits else (grown, other)
 
 
 # --- text and DOT serialization ---
 
 def format_tree(t: Tree) -> str:
-    if t.is_leaf:
-        return "L"
-    return f"({format_tree(t.left)} {format_tree(t.right)})"
+    out: list[str] = []
+    todo: list = [t]  # trees still to write, and the literal ")" and " "
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            out.append(node)
+        elif node.left is None:
+            out.append("L")
+        else:
+            out.append("(")
+            todo += (")", node.right, " ", node.left)
+    return "".join(out)
 
 
 def format_pair(pair: TreePair) -> str:
@@ -386,27 +471,30 @@ def format_pair(pair: TreePair) -> str:
 
 
 def parse_tree(text: str) -> Tree:
-    tree, pos = _parse_tree_at(text, 0)
+    pending: list[Tree | None] = []  # per open caret: its left subtree once read
+    pos = 0
+    while True:
+        if pos >= len(text):
+            raise ParseError("unexpected end of input", pos)
+        if text[pos] == "(":
+            pending.append(None)
+            pos += 1
+            continue
+        if text[pos] != "L":
+            raise ParseError("expected 'L' or '('", pos)
+        tree, pos = LEAF, pos + 1
+        while pending and pending[-1] is not None:  # tree is a right subtree
+            if pos >= len(text) or text[pos] != ")":
+                raise ParseError("expected ')'", pos)
+            tree, pos = caret(pending.pop(), tree), pos + 1
+        if not pending:
+            break
+        if pos >= len(text) or text[pos] != " ":
+            raise ParseError("expected ' ' between subtrees", pos)
+        pending[-1], pos = tree, pos + 1
     if pos != len(text):
         raise ParseError("trailing input after tree", pos)
     return tree
-
-
-def _parse_tree_at(text: str, pos: int) -> tuple[Tree, int]:
-    if pos >= len(text):
-        raise ParseError("unexpected end of input", pos)
-    ch = text[pos]
-    if ch == "L":
-        return LEAF, pos + 1
-    if ch != "(":
-        raise ParseError("expected 'L' or '('", pos)
-    left, pos = _parse_tree_at(text, pos + 1)
-    if pos >= len(text) or text[pos] != " ":
-        raise ParseError("expected ' ' between subtrees", pos)
-    right, pos = _parse_tree_at(text, pos + 1)
-    if pos >= len(text) or text[pos] != ")":
-        raise ParseError("expected ')'", pos)
-    return caret(left, right), pos + 1
 
 
 def parse_pair(text: str) -> TreePair:
@@ -420,21 +508,19 @@ def tree_to_dot(t: Tree, name: str) -> str:
     """DOT digraph with nodes labeled by address; leaves also carry leaf numbers."""
     lines = [f"digraph {name} {{"]
     leaf_no = 0
-
-    def walk(node: Tree, addr: str) -> None:
-        nonlocal leaf_no
+    todo: list[tuple[Tree | None, str]] = [(t, "")]  # None: the caret's edges
+    while todo:
+        node, addr = todo.pop()
         disp = addr or "root"
-        if node.is_leaf:
+        if node is None:
+            lines.append(f'  "n{addr}" -> "n{addr}0";')
+            lines.append(f'  "n{addr}" -> "n{addr}1";')
+        elif node.left is None:
             lines.append(f'  "n{addr}" [label="{disp} #{leaf_no}"];')
             leaf_no += 1
-            return
-        lines.append(f'  "n{addr}" [label="{disp}"];')
-        walk(node.left, addr + "0")
-        walk(node.right, addr + "1")
-        lines.append(f'  "n{addr}" -> "n{addr}0";')
-        lines.append(f'  "n{addr}" -> "n{addr}1";')
-
-    walk(t, "")
+        else:
+            lines.append(f'  "n{addr}" [label="{disp}"];')
+            todo += ((None, addr), (node.right, addr + "1"), (node.left, addr + "0"))
     lines.append("}")
     return "\n".join(lines)
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -16,6 +18,15 @@ from thompsonf.metric import WordMetricOracle
 def oracle():
     """One shared breadth-first oracle; levels grow on demand and are cached."""
     return WordMetricOracle()
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Python's default recursion limit, so deep inputs show any recursion."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
 
 
 def el(text):

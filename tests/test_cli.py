@@ -1,3 +1,4 @@
+from thompsonf import generator, parse_pair, power
 from thompsonf.cli import main
 
 
@@ -132,6 +133,14 @@ class TestRenderAndVerify:
         code, out, _ = run(capsys, "render", "x0", "--format", "dot")
         assert code == 0
         assert "digraph neg {" in out and "digraph pos {" in out
+
+    def test_render_deep_element(self, capsys, default_recursion_limit):
+        code, out, _ = run(capsys, "render", "x0^1500")
+        assert code == 0
+        assert parse_pair(out.rstrip("\n")) == power(generator(0), 1500).pair
+        code, out, _ = run(capsys, "render", "x0^1500", "--format", "dot")
+        assert code == 0
+        assert out.count(" -> ") == 2 * 2 * 1501
 
     def test_verify(self, capsys):
         code, out, _ = run(capsys, "verify")

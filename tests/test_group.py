@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -18,6 +17,7 @@ from thompsonf import (
     inverse,
     is_reduced,
     multiply,
+    parse_word,
     power,
     rewrite_to_normal_form,
     to_normal_form,
@@ -112,14 +112,6 @@ class TestPowers:
         assert len(calls) == k.bit_length() + bin(k).count("1") - 1
 
 
-@pytest.fixture
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
-
-
 class TestDeepElements:
     def test_power_of_x0_4096(self, default_recursion_limit):
         g = power(generator(0), 4096)
@@ -184,6 +176,21 @@ class TestWordRoute:
     def test_element_of_word_examples(self):
         assert to_normal_form((x(1), x(0))) == NormalForm(((0, 1), (2, 1)), ())
         assert element_of_word((x(0), xinv(0))) == identity()
+
+    @pytest.mark.parametrize("text, products", [
+        ("x0^3000", 1), ("x0 x1", 2), ("x1^-2 x1^-1 x0^2 x0^-1 x3", 4), ("x2^5 x2^-5", 2),
+    ])
+    def test_element_of_word_multiplies_once_per_run(self, text, products, monkeypatch):
+        calls, real = [], group_module.multiply
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(group_module, "multiply", counting)
+        g = element_of_word(parse_word(text))
+        assert len(calls) == products
+        assert g.normal_form() == rewrite_to_normal_form(parse_word(text))
 
     def test_str_shows_normal_form(self):
         assert str(el("x1 x0")) == "x0 x2"

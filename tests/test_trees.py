@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,20 +7,25 @@ from hypothesis import strategies as st
 
 from thompsonf import (
     LEAF,
+    GroupElement,
     ParseError,
     TreePair,
     caret,
     caret_count,
     format_pair,
     format_tree,
+    generator,
     graft_at,
+    inverse,
     is_reduced,
     leaf_count,
     leaf_exponent,
     leaf_exponents,
+    multiply,
     pair_to_dot,
     parse_pair,
     parse_tree,
+    power,
     reduce_pair,
     right_subtree_of_root_empty,
     subtree_at,
@@ -28,13 +34,15 @@ from thompsonf import (
 )
 from thompsonf.metric import random_tree
 from thompsonf.trees import (
+    _candidates,
+    _probe,
     expand_leaves,
     leaf_addresses,
     leaf_growths,
     union_tree,
 )
 
-from conftest import el, tree_pairs, trees
+from conftest import el, elements, tree_pairs, trees
 
 LL = caret(LEAF, LEAF)
 RIGHT_COMB_2 = caret(LEAF, LL)
@@ -79,6 +87,72 @@ def reference_reduce(pair):
         m = min(common)
         neg = _remove_exposed_caret(neg, m)
         pos = _remove_exposed_caret(pos, m)
+
+
+# --- reference product: the dense common refinement, reduced by reference_reduce ---
+
+def dense_growths(base, other):
+    """Per leaf of ``base``, the subtree of ``other`` below it; LEAF where
+    ``other`` stops above it."""
+    out, todo = [], [(base, other)]
+    while todo:
+        x, r = todo.pop()
+        if x.is_leaf:
+            out.append(r)
+        elif r.is_leaf:
+            out.extend([LEAF] * leaf_count(x))
+        else:
+            todo += [(x.right, r.right), (x.left, r.left)]
+    return out
+
+
+def grow_dense(t, growths):
+    """``t`` with leaf n replaced by growths[n], every caret built anew."""
+    leaves, done, todo = iter(growths), [], [t]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            right = done.pop()
+            done[-1] = caret(done[-1], right)
+        elif node.is_leaf:
+            done.append(next(leaves))
+        else:
+            todo += [None, node.right, node.left]
+    return done[0]
+
+
+def reference_unreduced_product(a, b):
+    """The pair of a b over the middle tree union(a.neg, b.pos), unreduced."""
+    an, ap, bn, bp = a.pair.neg, a.pair.pos, b.pair.neg, b.pair.pos
+    middle = grow_dense(an, dense_growths(an, bp))
+    return TreePair(grow_dense(bn, dense_growths(bp, middle)),
+                    grow_dense(ap, dense_growths(an, middle)))
+
+
+def detected_hits(a, b):
+    """The common exposed carets of the unreduced a b found from the
+    candidates of a.pos and from those of b.neg (multiply takes the factor
+    with fewer leaves)."""
+    an, ap, bn, bp = a.pair.neg, a.pair.pos, b.pair.neg, b.pair.pos
+    middle = union_tree(an, bp)
+    a_spans, b_spans = leaf_growths(an, middle), leaf_growths(bp, middle)
+    ap2, bn2 = expand_leaves(ap, a_spans), expand_leaves(bn, b_spans)
+    return _probe(bn2, _candidates(ap, a_spans))[0], _probe(ap2, _candidates(bn, b_spans))[0]
+
+
+def assert_product_agrees(a, b):
+    unreduced = reference_unreduced_product(a, b)
+    assert multiply(a, b).pair == reference_reduce(unreduced)
+    common = sorted(exposed_caret_positions(unreduced.neg) & exposed_caret_positions(unreduced.pos))
+    assert detected_hits(a, b) == (common, common)
+
+
+@st.composite
+def factor_pairs(draw, max_carets=40):
+    """Random reduced factors, with b often cancelling part or all of a."""
+    a, c = draw(elements(max_carets)), draw(elements(max_carets))
+    b = draw(st.sampled_from([c, inverse(a), multiply(inverse(a), c), multiply(c, inverse(a))]))
+    return a, b
 
 
 class TestCounts:
@@ -186,9 +260,9 @@ class TestReduce:
     def test_shared_growths_agree_with_reference(self, pair, rng):
         # growing the same leaves of both sides by the same (shared) subtrees
         # gives another representative of the same element
-        growths = [random_tree(rng, rng.randint(1, 4)) if rng.random() < 0.5 else LEAF
-                   for _ in range(leaf_count(pair.neg))]
-        grown = TreePair(expand_leaves(pair.neg, growths), expand_leaves(pair.pos, growths))
+        spans = [(n, 1, random_tree(rng, rng.randint(1, 4)))
+                 for n in range(leaf_count(pair.neg)) if rng.random() < 0.5]
+        grown = TreePair(expand_leaves(pair.neg, spans), expand_leaves(pair.pos, spans))
         assert reduce_pair(grown) == reference_reduce(grown) == reduce_pair(pair)
 
     def test_reduced_pair_comes_back_as_is(self):
@@ -241,8 +315,7 @@ class TestReduce:
             return caret(rand_tree(left), rand_tree(carets - 1 - left))
 
         def split_leaf(t, n, sub):
-            gs = [sub if i == n else LEAF for i in range(leaf_count(t))]
-            return expand_leaves(t, gs)
+            return expand_leaves(t, [(n, 1, sub)])
 
         for _ in range(120):
             base = reduce_pair(TreePair(rand_tree(3), rand_tree(3)))
@@ -308,13 +381,17 @@ class TestRefinementHelpers:
         gb = leaf_growths(b, u)
         assert expand_leaves(a, ga) == u
         assert expand_leaves(b, gb) == u
+        for base, spans in ((a, ga), (b, gb)):  # sorted spans of grown leaves only
+            assert [n for n, _, _ in spans] == sorted({n for n, _, _ in spans})
+            assert all(0 <= n < leaf_count(base) and size == 1 and not sub.is_leaf
+                       for n, size, sub in spans)
 
     @given(trees(max_leaves=8), trees(max_leaves=8))
     def test_refinement_shares_unchanged_subtrees(self, a, b):
         u = union_tree(a, b)
         assert union_tree(u, a) is u and union_tree(u, b) is u
-        assert leaf_growths(u, u) == [LEAF] * leaf_count(u)
-        assert expand_leaves(a, [LEAF] * leaf_count(a)) is a
+        assert leaf_growths(u, u) == []
+        assert expand_leaves(a, []) is a
 
     def test_deep_trees_compare_without_recursion(self):
         # far deeper than the default recursion limit
@@ -324,11 +401,58 @@ class TestRefinementHelpers:
         assert left == right and left is not right
         assert left != other  # same size; they differ only at the bottom
 
-    def test_expand_arity_errors(self):
+    def test_expand_range_errors(self):
         with pytest.raises(ValueError):
-            expand_leaves(LL, [LEAF])
+            expand_leaves(LL, [(2, 1, LL)])  # LL has leaves 0 and 1
         with pytest.raises(ValueError):
-            expand_leaves(LL, [LEAF, LEAF, LEAF])
+            expand_leaves(LL, [(0, 1, LL), (5, 1, LL)])
+        with pytest.raises(ValueError):
+            expand_leaves(LL, [(-1, 1, LL)])
+        assert expand_leaves(LL, [(1, 1, LL)]) == RIGHT_COMB_2
+
+    def test_leaf_growths_rejects_a_non_refinement(self):
+        with pytest.raises(ValueError):
+            leaf_growths(LEFT_COMB_2, RIGHT_COMB_2)
+
+
+class TestLocalCancellation:
+    @settings(max_examples=100, deadline=None)
+    @given(factor_pairs())
+    def test_random_products_agree_with_dense_reference(self, factors):
+        assert_product_agrees(*factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["x0", "x1", "x0 x1^-1"]), st.integers(0, 150),
+           st.sampled_from(["x0", "x1", "x0 x1^-1"]), st.integers(-150, 150))
+    def test_deep_combs_agree_with_dense_reference(self, u, j, v, k):
+        assert_product_agrees(power(el(u), j), power(el(v), k))
+
+    def test_generator_products_over_the_ball_agree(self, oracle):
+        gens = [generator(0), inverse(generator(0)), generator(1), inverse(generator(1))]
+        for g in oracle.ball(5):
+            for h in gens:
+                assert_product_agrees(g, h)
+
+    def test_long_cascade_takes_linear_time(self, default_recursion_limit):
+        # one hit, then each of the 4096 carets above it cancels in turn
+        a, b = power(generator(0), 4096), power(generator(0), -4096)
+        assert detected_hits(a, b) == ([0], [0])
+        start = time.perf_counter()
+        assert multiply(a, b).is_identity
+        assert time.perf_counter() - start < 1.0
+
+    def test_many_hits_take_linear_time(self, default_recursion_limit):
+        # a.pos is (LL, (LL, ...)) over a right comb: 2,000 hits in a a^-1
+        pos, neg = LEAF, LEAF
+        for _ in range(2000):
+            pos = caret(LL, pos)
+        for _ in range(4000):
+            neg = caret(LEAF, neg)
+        a = GroupElement(TreePair(neg, pos))
+        assert detected_hits(a, inverse(a)) == (list(range(0, 4000, 2)),) * 2
+        start = time.perf_counter()
+        assert multiply(a, inverse(a)).is_identity
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSerialization:
@@ -355,6 +479,14 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             parse_tree("X")
         assert err.value.position == 0
+
+    def test_deep_pairs_serialize(self, default_recursion_limit):
+        pair = power(generator(0), 1500).pair  # 1501 carets, leaf 0 of pos at depth 1501
+        text = format_pair(pair)
+        assert text.count("(") == 2 * 1501
+        assert parse_pair(text) == pair
+        assert pair_to_dot(pair).count(" -> ") == 2 * 2 * 1501
+        assert leaf_addresses(pair.pos)[0] == "0" * 1501
 
     def test_dot_export(self):
         dot = tree_to_dot(LEFT_COMB_2, "pos")
