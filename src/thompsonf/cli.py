@@ -82,6 +82,10 @@ def _cmd_ball(args, out):
     for r, count in enumerate(spheres):
         total += count
         print(f"{r},{count},{total}", file=out)
+    if args.stats:
+        for level, s in enumerate(oracle.level_stats(radius), start=1):
+            print(f"stats level={level} products={s.products} new={s.new} "
+                  f"duplicates={s.duplicates}", file=sys.stderr)
     return 0
 
 
@@ -164,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ball", _cmd_ball, "sphere and ball sizes of the word metric")
     p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--stats", action="store_true",
+                   help="print the search's work per level to stderr")
 
     p = add("embed-phi", _cmd_embed_phi, "image under the F x Z embedding")
     p.add_argument("word")

@@ -52,7 +52,9 @@ class GroupElement:
 
     @classmethod
     def from_normal_form(cls, nf: NormalForm) -> GroupElement:
-        return cls(normal_form_to_tree_pair(nf))
+        """The element of a normal form. NormalForm enforces the uniqueness
+        condition, so the pair it builds is reduced and is not checked."""
+        return _element(normal_form_to_tree_pair(nf))
 
     @property
     def is_identity(self) -> bool:
@@ -158,8 +160,8 @@ def element_of_word(word: Iterable[Letter]) -> GroupElement:
         k = sum(1 for _ in run)
         if k == 1:
             g = generator(letter.index)
-        else:  # the pair of a normal form is reduced
-            g = _element(normal_form_to_tree_pair(NormalForm(((letter.index, k),), ())))
+        else:
+            g = GroupElement.from_normal_form(NormalForm(((letter.index, k),), ()))
         acc = multiply(acc, g if letter.sign > 0 else inverse(g))
     return acc
 

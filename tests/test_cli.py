@@ -61,6 +61,17 @@ class TestMetricCommands:
         assert code == 0
         assert out == "radius,sphere,ball\n0,1,1\n1,4,5\n2,12,17\n"
 
+    def test_ball_stats_go_to_stderr(self, capsys):
+        code, plain, plain_err = run(capsys, "ball", "--radius", "9")
+        assert (code, plain_err) == (0, "")
+        code, out, err = run(capsys, "ball", "--radius", "9", "--stats")
+        assert code == 0
+        assert out == plain
+        lines = err.splitlines()
+        assert len(lines) == 9
+        assert lines[0] == "stats level=1 products=4 new=4 duplicates=0"
+        assert sum(int(line.split("products=")[1].split()[0]) for line in lines) == 33_228
+
     def test_ball_radius_over_cap(self, capsys):
         code, _, err = run(capsys, "ball", "--radius", "11")
         assert code == 1

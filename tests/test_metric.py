@@ -1,5 +1,7 @@
 import io
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -27,12 +29,30 @@ from thompsonf import (
     shift,
     sweep_to_csv,
 )
+from thompsonf import metric as metric_module
 from thompsonf.metric import random_element, random_tree
 
 from conftest import el
 
 # frozen oracle regression: ball sizes at radius 0..5
 BALL_SIZES = [1, 5, 17, 53, 161, 475]
+SPHERES_TO_8 = [1, 4, 12, 36, 108, 314, 906, 2576, 7280]
+
+
+def reference_ball(generators, radius):
+    """Plain breadth-first search that multiplies every frontier element by
+    every generator: the ball, in the order it finds the elements."""
+    lengths, frontier = {identity(): 0}, [identity()]
+    for depth in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for h in generators:
+                p = multiply(g, h)
+                if p not in lengths:
+                    lengths[p] = depth
+                    nxt.append(p)
+        frontier = nxt
+    return lengths
 
 
 class TestCaretCounts:
@@ -117,6 +137,61 @@ class TestBalls:
             (a, la), (b, lb) = rng.choice(ball3), rng.choice(ball3)
             lab = oracle.exact_length(multiply(a, b), 6)
             assert lab is not None and lab <= la + lb
+
+
+class TestForwardOnlySearch:
+    @pytest.mark.parametrize("name, radius", [
+        ("default", 7), ("reordered", 7), ("no inverses", 7), ("non-bipartite", 5),
+    ])
+    def test_matches_reference_search_in_order(self, name, radius):
+        x0, x1 = generator(0), generator(1)
+        x01 = multiply(x0, x1)
+        generators = {
+            "default": (x0, inverse(x0), x1, inverse(x1)),
+            "reordered": (inverse(x1), x1, inverse(x0), x0),
+            "no inverses": (x0, x1),
+            "non-bipartite": (x0, inverse(x0), x1, inverse(x1), x01, inverse(x01)),
+        }[name]
+        ball = WordMetricOracle(generators=generators).ball(radius)
+        assert list(ball.items()) == list(reference_ball(generators, radius).items())
+
+    def test_one_product_per_edge_between_spheres(self, monkeypatch):
+        calls, real = [], metric_module.multiply
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(metric_module, "multiply", counting)
+        oracle = WordMetricOracle()
+        assert oracle.sphere_sizes(8) == SPHERES_TO_8
+        assert len(calls) == 11_720
+        stats = oracle.level_stats(8)
+        assert sum(s.products for s in stats) == 11_720
+        assert [s.new for s in stats] == SPHERES_TO_8[1:]
+        assert all(s.products == s.new + s.duplicates for s in stats)
+
+    def test_shared_across_threads(self):
+        oracle, results = WordMetricOracle(), []
+        start = threading.Barrier(8)
+
+        def grow():
+            start.wait(timeout=60)
+            results.append(oracle.sphere_sizes(8))
+
+        threads = [threading.Thread(target=grow) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [SPHERES_TO_8] * 8
+        assert len(oracle._lengths) == 11_237
 
 
 class TestBoundsOnBall:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from thompsonf import (
     LEAF,
+    GroupElement,
     element_of_word,
+    is_reduced,
     NormalForm,
     ParseError,
     TreePair,
@@ -24,6 +26,7 @@ from thompsonf import (
     x,
     xinv,
 )
+from thompsonf import group as group_module
 from thompsonf.metric import random_element
 
 from conftest import el, elements, tree_pairs
@@ -161,6 +164,25 @@ class TestBijection:
     def test_build_then_read_roundtrip(self, nf):
         # tree_pair_to_normal_form also rejects a pair that is not reduced
         assert tree_pair_to_normal_form(normal_form_to_tree_pair(nf)) == nf
+
+    @given(normal_forms())
+    def test_element_of_normal_form_roundtrip(self, nf):
+        g = GroupElement.from_normal_form(nf)
+        assert is_reduced(g.pair)
+        assert g.normal_form() == nf
+
+    def test_element_of_normal_form_skips_reducedness_check(self, monkeypatch):
+        calls, real = [], group_module.is_reduced
+
+        def counting(pair):
+            calls.append(1)
+            return real(pair)
+
+        monkeypatch.setattr(group_module, "is_reduced", counting)
+        nf = NormalForm(((0, 2), (3, 1)), ((1, 1), (4, 2)))
+        g = GroupElement.from_normal_form(nf)
+        assert calls == []
+        assert g.normal_form() == nf
 
     @given(tree_pairs(max_carets=8))
     def test_exponent_mass_is_total(self, pair):
