@@ -12,7 +12,6 @@ from thompsonf import (
     caret_count,
     format_pair,
     format_tree,
-    leaf_count,
     leaf_exponents,
     pair_to_dot,
     parse_tree,
@@ -27,7 +26,7 @@ right_comb = caret(LEAF, caret(LEAF, LEAF))
 print("single caret      :", format_tree(single))
 print("left comb         :", format_tree(left_comb))
 print("right comb        :", format_tree(right_comb))
-print("leaves / carets   :", leaf_count(left_comb), "/", caret_count(left_comb))
+print("leaves / carets   :", left_comb.leaves, "/", caret_count(left_comb))
 
 # leaf exponents drive the bijection with normal forms (see demo 02);
 # the right comb reads all zeros, the left comb starts with a 1

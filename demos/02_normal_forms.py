@@ -15,19 +15,18 @@ from thompsonf import (
     normal_form_to_tree_pair,
     parse_word,
     rewrite_to_normal_form,
-    to_normal_form,
     tree_pair_to_normal_form,
 )
 
 for text in ("x1 x0", "x0^-1 x1 x0", "x0 x0^-1", "x2 x1", "x1 x3 x1^-1"):
     word = parse_word(text)
-    via_trees = to_normal_form(word)
+    via_trees = element_of_word(word).normal_form()
     via_rewriting = rewrite_to_normal_form(word)
     assert via_trees == via_rewriting
     print(f"{text:>14}  ->  {str(via_trees) or '(identity)'}")
 
 # the bijection: normal form -> reduced pair -> normal form
-nf = to_normal_form(parse_word("x0^2 x3 x2^-1"))
+nf = element_of_word(parse_word("x0^2 x3 x2^-1")).normal_form()
 pair = normal_form_to_tree_pair(nf)
 print("\nnormal form :", nf)
 print("tree pair   :", format_pair(pair))

@@ -23,8 +23,6 @@ from .trees import (
     format_tree,
     graft_at,
     is_reduced,
-    leaf_count,
-    leaf_exponent,
     leaf_exponents,
     pair_to_dot,
     parse_pair,
@@ -59,17 +57,13 @@ from .group import (
     inverse,
     multiply,
     power,
-    to_normal_form,
     verify_relators,
 )
 from .embeddings import (
-    ProductElement,
     address_interval,
     clone_map,
     embed_f_z,
     embed_product,
-    embed_product_element,
-    intervals_disjoint,
     is_prefix_free,
     right_subtree_claims,
     shift,
@@ -84,7 +78,6 @@ from .metric import (
     MetricEstimate,
     WordMetricOracle,
     affine_fit,
-    caret_count_of,
     check_bounds_on_ball,
     distortion_envelopes,
     distortion_sweep,
@@ -100,80 +93,9 @@ from .metric import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LEAF",
-    "ParseError",
-    "Tree",
-    "TreePair",
-    "caret",
-    "caret_count",
-    "format_pair",
-    "format_tree",
-    "graft_at",
-    "is_reduced",
-    "leaf_count",
-    "leaf_exponent",
-    "leaf_exponents",
-    "pair_to_dot",
-    "parse_pair",
-    "parse_tree",
-    "reduce_pair",
-    "right_subtree_of_root_empty",
-    "subtree_at",
-    "tree_from_exponents",
-    "tree_to_dot",
-    "Letter",
-    "NormalForm",
-    "Word",
-    "format_word",
-    "normal_form_to_tree_pair",
-    "parse_word",
-    "rewrite_to_normal_form",
-    "tree_pair_to_normal_form",
-    "word_inverse",
-    "x",
-    "xinv",
-    "GroupElement",
-    "RelatorReport",
-    "commutator",
-    "commutator_is_trivial",
-    "element_of_word",
-    "generator",
-    "identity",
-    "inverse",
-    "multiply",
-    "power",
-    "to_normal_form",
-    "verify_relators",
-    "ProductElement",
-    "address_interval",
-    "clone_map",
-    "embed_f_z",
-    "embed_product",
-    "embed_product_element",
-    "intervals_disjoint",
-    "is_prefix_free",
-    "right_subtree_claims",
-    "shift",
-    "z_generator",
-    "BoundsReport",
-    "DEFAULT_RADIUS_CAP",
-    "DistortionSample",
-    "EmbeddingSpec",
-    "EnvelopeFit",
-    "MetricEstimate",
-    "WordMetricOracle",
-    "affine_fit",
-    "caret_count_of",
-    "check_bounds_on_ball",
-    "distortion_envelopes",
-    "distortion_sweep",
-    "envelope_fit",
-    "f_z_spec",
-    "length_bounds",
-    "metric_estimate",
-    "product_spec",
-    "random_element",
-    "random_tree",
-    "sweep_to_csv",
-]
+# the exports are the names imported above, less the submodules they bind
+__all__ = sorted(
+    name for name in dir()
+    if not name.startswith("_")
+    and name not in ("trees", "words", "group", "embeddings", "metric")
+)

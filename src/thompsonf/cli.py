@@ -28,7 +28,7 @@ from .metric import (
     product_spec,
     sweep_to_csv,
 )
-from .trees import ParseError, format_pair, pair_to_dot
+from .trees import format_pair, pair_to_dot
 from .words import parse_word
 
 DEFAULT_SEED = 0
@@ -36,6 +36,11 @@ DEFAULT_SEED = 0
 
 def _element(text: str):
     return element_of_word(parse_word(text))
+
+
+def _addresses(text: str) -> list[str]:
+    """Comma-separated addresses; the empty text is the root address alone."""
+    return text.split(",")
 
 
 def _print_element(g, out) -> None:
@@ -74,16 +79,15 @@ def _cmd_metric(args, out):
 
 
 def _cmd_ball(args, out):
-    radius = args.radius if args.radius is not None else 3
     oracle = WordMetricOracle()
-    spheres = oracle.sphere_sizes(radius)
+    spheres = oracle.sphere_sizes(args.radius)
     print("radius,sphere,ball", file=out)
     total = 0
     for r, count in enumerate(spheres):
         total += count
         print(f"{r},{count},{total}", file=out)
     if args.stats:
-        for level, s in enumerate(oracle.level_stats(radius), start=1):
+        for level, s in enumerate(oracle.level_stats(args.radius), start=1):
             print(f"stats level={level} products={s.products} new={s.new} "
                   f"duplicates={s.duplicates}", file=sys.stderr)
     return 0
@@ -95,10 +99,9 @@ def _cmd_embed_phi(args, out):
 
 
 def _cmd_embed_psi(args, out):
-    addresses = args.addresses.split(",") if args.addresses is not None else [""]
     z_factors = [int(t) for t in args.z.split(",")] if args.z else []
     f_factors = [_element(w) for w in args.words]
-    _print_element(embed_product(addresses, f_factors, z_factors), out)
+    _print_element(embed_product(args.addresses, f_factors, z_factors), out)
     return 0
 
 
@@ -106,8 +109,7 @@ def _cmd_sweep(args, out):
     if args.embedding == "phi":
         spec = f_z_spec()
     else:
-        addresses = args.addresses.split(",") if args.addresses is not None else [""]
-        spec = product_spec(addresses, args.n)
+        spec = product_spec(args.addresses, args.n)
     samples = distortion_sweep(
         spec, args.samples, seed=args.seed, search_radius=args.radius
     )
@@ -167,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also search for the exact length within this radius")
 
     p = add("ball", _cmd_ball, "sphere and ball sizes of the word metric")
-    p.add_argument("--radius", type=int, default=None)
+    p.add_argument("--radius", type=int, default=3)
     p.add_argument("--stats", action="store_true",
                    help="print the search's work per level to stderr")
 
@@ -177,14 +179,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("embed-psi", _cmd_embed_psi, "image under the product embedding")
     p.add_argument("words", nargs="*", help="the m group factors")
-    p.add_argument("--addresses", metavar="LIST", default=None,
+    p.add_argument("--addresses", metavar="LIST", default="", type=_addresses,
                    help="comma-separated prefix-free addresses (m+1 of them)")
     p.add_argument("--z", metavar="LIST", default=None,
                    help="comma-separated integer factors")
 
     p = add("sweep", _cmd_sweep, "distortion sweep CSV")
     p.add_argument("--embedding", choices=("phi", "psi"), default="phi")
-    p.add_argument("--addresses", metavar="LIST", default=None)
+    p.add_argument("--addresses", metavar="LIST", default="", type=_addresses)
     p.add_argument("--n", type=int, default=0, help="number of integer factors (psi)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -213,10 +215,7 @@ def main(argv=None) -> int:
             out = sys.stdout
         try:
             return args.func(args, out)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:  # ParseError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

@@ -7,8 +7,8 @@ injective homomorphism onto the copy of the whole group supported on
 that interval (the clone subgroup at s). The shift map is the clone map
 along "1": on normal forms it raises every generator index by one.
 
-Two constructions build distorted-free copies of product groups inside
-the group:
+Two constructions build undistorted (quasi-isometrically embedded)
+copies of product groups inside the group:
 
   * ``embed_f_z(w, t)``: the image of (w, t) in F x Z, realized as the
     clone of w at "11" times the t-th power of x0 x1^-1;
@@ -22,11 +22,10 @@ is why the factor images commute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .group import GroupElement, generator, identity, inverse, multiply, power
+from .group import GroupElement, _element, generator, identity, inverse, multiply, power
 from .trees import TreePair, graft_at, validate_address
 from .words import NormalForm, _spine_slots
 
@@ -44,9 +43,14 @@ def clone_map(address: str, g: GroupElement) -> GroupElement:
     An injective homomorphism onto the clone subgroup at the address;
     for non-identity g the caret count grows by exactly len(address),
     and the identity maps to the identity.
+
+    The grafted pair needs no reduce_pair scan: unless g is the identity,
+    each spine caret has a non-leaf child, so the pair stays reduced.
     """
     validate_address(address)
-    return GroupElement.from_pair(
+    if g.is_identity:
+        return g
+    return _element(
         TreePair(graft_at(g.pair.neg, address), graft_at(g.pair.pos, address))
     )
 
@@ -79,22 +83,6 @@ def is_prefix_free(addresses: Sequence[str]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ProductElement:
-    """Element of F^m x Z^n: m group factors and n integer factors."""
-
-    f_factors: tuple[GroupElement, ...]
-    z_factors: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.f_factors)
-
-    @property
-    def n(self) -> int:
-        return len(self.z_factors)
-
-
 def embed_product(
     addresses: Sequence[str],
     f_factors: Sequence[GroupElement],
@@ -125,24 +113,12 @@ def embed_product(
     return acc
 
 
-def embed_product_element(
-    addresses: Sequence[str], element: ProductElement
-) -> GroupElement:
-    return embed_product(addresses, element.f_factors, element.z_factors)
-
-
 def address_interval(address: str) -> tuple[Fraction, Fraction]:
     """Dyadic support interval [0.bits, 0.bits + 2^-len) of an address."""
     validate_address(address)
     width = Fraction(1, 2 ** len(address))
     start = Fraction(int(address, 2) if address else 0, 2 ** len(address))
     return start, start + width
-
-
-def intervals_disjoint(
-    a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
-) -> bool:
-    return a[1] <= b[0] or b[1] <= a[0]
 
 
 def right_subtree_claims(nf: NormalForm) -> tuple[bool | None, bool | None]:

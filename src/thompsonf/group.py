@@ -68,15 +68,6 @@ class GroupElement:
     def normal_form(self) -> NormalForm:
         return tree_pair_to_normal_form(self.pair, check=False)
 
-    def __mul__(self, other: GroupElement) -> GroupElement:
-        return multiply(self, other)
-
-    def __invert__(self) -> GroupElement:
-        return inverse(self)
-
-    def __pow__(self, k: int) -> GroupElement:
-        return power(self, k)
-
     def __str__(self) -> str:
         return str(self.normal_form())
 
@@ -164,15 +155,6 @@ def element_of_word(word: Iterable[Letter]) -> GroupElement:
             g = GroupElement.from_normal_form(NormalForm(((letter.index, k),), ()))
         acc = multiply(acc, g if letter.sign > 0 else inverse(g))
     return acc
-
-
-def to_normal_form(word: Iterable[Letter]) -> NormalForm:
-    """Normal form of a word, computed through tree pair multiplication.
-
-    An independent route exists in words.rewrite_to_normal_form; the two
-    must always agree.
-    """
-    return element_of_word(word).normal_form()
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,6 @@ from .trees import LEAF, Tree, TreePair, caret
 DEFAULT_RADIUS_CAP = 9
 
 
-def caret_count_of(g: GroupElement) -> int:
-    """N(g), the caret count of either tree of the reduced pair."""
-    return g.caret_count
-
-
 def length_bounds(g: GroupElement) -> tuple[int, int]:
     """(N - 2, 4N - 4) word-length bounds; (0, 0) for the identity.
 
@@ -181,10 +176,9 @@ class WordMetricOracle:
         radius = self.cap if max_radius is None else max_radius
         self._check_radius(radius)
         known = self._lengths.get(g)
-        if known is not None:
-            return known if known <= radius else None
-        self._grow_to(radius)
-        known = self._lengths.get(g)
+        if known is None:
+            self._grow_to(radius)
+            known = self._lengths.get(g)
         return known if known is not None and known <= radius else None
 
 

@@ -97,11 +97,6 @@ def caret(left: Tree, right: Tree) -> Tree:
     return Tree(left, right)
 
 
-def leaf_count(t: Tree) -> int:
-    """Number of exposed leaves, always caret_count(t) + 1."""
-    return t.leaves
-
-
 def caret_count(t: Tree) -> int:
     """Number of internal nodes."""
     return t.leaves - 1
@@ -146,14 +141,6 @@ def leaf_exponents(t: Tree) -> tuple[int, ...]:
             todo.append((node.right, on_side))
             todo.append((node.left, False))
     return tuple(out)
-
-
-def leaf_exponent(t: Tree, n: int) -> int:
-    """E(n) for a single leaf; raises IndexError outside 0..L-1."""
-    exps = leaf_exponents(t)
-    if not 0 <= n < len(exps):
-        raise IndexError(f"leaf index {n} out of range for {len(exps)} leaves")
-    return exps[n]
 
 
 def tree_from_exponents(vec: Sequence[int]) -> Tree:

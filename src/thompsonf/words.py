@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .trees import (
@@ -105,14 +106,9 @@ def parse_word(text: str) -> Word:
 def format_word(word: Sequence[Letter]) -> str:
     """Emit the word grammar, grouping adjacent runs of the same letter."""
     parts: list[str] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        e = (j - i) * word[i].sign
-        parts.append(f"x{word[i].index}" if e == 1 else f"x{word[i].index}^{e}")
-        i = j
+    for letter, run in groupby(word):
+        e = sum(1 for _ in run) * letter.sign
+        parts.append(f"x{letter.index}" if e == 1 else f"x{letter.index}^{e}")
     return " ".join(parts)
 
 

@@ -6,16 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thompsonf import (
+    GroupElement,
+    TreePair,
     address_interval,
     clone_map,
     commutator_is_trivial,
     embed_f_z,
     embed_product,
     generator,
+    graft_at,
     identity,
-    intervals_disjoint,
     inverse,
     is_prefix_free,
+    is_reduced,
     multiply,
     power,
     right_subtree_claims,
@@ -23,10 +26,15 @@ from thompsonf import (
     shift,
     z_generator,
 )
-from thompsonf.embeddings import ProductElement, embed_product_element
+from thompsonf import group as group_module
 from thompsonf.metric import random_element
 
 from conftest import el, elements
+
+
+def intervals_disjoint(a, b):
+    return a[1] <= b[0] or b[1] <= a[0]
+
 
 addresses = st.text(alphabet="01", max_size=5)
 
@@ -106,6 +114,30 @@ class TestCloneMap:
     def test_bad_address_rejected(self):
         with pytest.raises(ValueError):
             clone_map("012", generator(0))
+        with pytest.raises(ValueError):
+            clone_map("2", identity())
+
+    @given(addresses, elements(max_carets=10))
+    def test_clone_is_reduced_without_reduction(self, s, g):
+        image = clone_map(s, g)
+        assert is_reduced(image.pair)
+        grafted = TreePair(graft_at(g.pair.neg, s), graft_at(g.pair.pos, s))
+        assert image == GroupElement.from_pair(grafted)
+
+    def test_clone_skips_reduce_pair(self, monkeypatch):
+        calls, real = [], group_module.reduce_pair
+
+        def counting(pair):
+            calls.append(1)
+            return real(pair)
+
+        monkeypatch.setattr(group_module, "reduce_pair", counting)
+        g = el("x0^2 x3 x1^-1")
+        image = clone_map("0110", g)
+        assert calls == []
+        assert image.caret_count == g.caret_count + 4
+        assert clone_map("0110", identity()) == identity()
+        assert calls == []
 
 
 class TestPrefixSets:
@@ -236,13 +268,6 @@ class TestProductEmbedding:
                 embed_product(addrs, (w2,), (t2,)),
             )
             assert lhs == rhs
-
-    def test_product_element_wrapper(self):
-        e = ProductElement((generator(0),), (1,))
-        assert e.m == 1 and e.n == 1
-        assert embed_product_element(("0", "11"), e) == embed_product(
-            ("0", "11"), (generator(0),), (1,)
-        )
 
     def test_prefix_violation_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from thompsonf import (
     parse_word,
     power,
     rewrite_to_normal_form,
-    to_normal_form,
     verify_relators,
     x,
     xinv,
@@ -174,7 +173,7 @@ class TestBulkAlgebra:
 
 class TestWordRoute:
     def test_element_of_word_examples(self):
-        assert to_normal_form((x(1), x(0))) == NormalForm(((0, 1), (2, 1)), ())
+        assert element_of_word((x(1), x(0))).normal_form() == NormalForm(((0, 1), (2, 1)), ())
         assert element_of_word((x(0), xinv(0))) == identity()
 
     @pytest.mark.parametrize("text, products", [

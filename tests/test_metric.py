@@ -11,7 +11,6 @@ from thompsonf import (
     caret_count,
     WordMetricOracle,
     affine_fit,
-    caret_count_of,
     check_bounds_on_ball,
     distortion_envelopes,
     distortion_sweep,
@@ -57,13 +56,13 @@ def reference_ball(generators, radius):
 
 class TestCaretCounts:
     def test_examples(self):
-        assert caret_count_of(identity()) == 0
-        assert caret_count_of(generator(0)) == 2
-        assert caret_count_of(generator(1)) == 3
+        assert identity().caret_count == 0
+        assert generator(0).caret_count == 2
+        assert generator(1).caret_count == 3
 
     def test_f_z_image(self):
         w = el("x1 x0^-1")
-        assert caret_count_of(embed_f_z(w, 4)) == caret_count_of(w) + 4 + 2
+        assert embed_f_z(w, 4).caret_count == w.caret_count + 4 + 2
 
 
 class TestLengthBounds:
@@ -240,14 +239,14 @@ class TestSweep:
         for k in (1, 3, 7):
             image = embed_f_z(identity(), k)
             assert image == power(z, k)
-            assert caret_count_of(image) == k + 2
+            assert image.caret_count == k + 2
 
     def test_height_zero_is_double_shift(self):
         rng = random.Random(8)
         for _ in range(50):
             w = random_element(rng, 9, nontrivial=True)
             assert embed_f_z(w, 0) == shift(w, 2)
-            assert caret_count_of(embed_f_z(w, 0)) == caret_count_of(w) + 2
+            assert embed_f_z(w, 0).caret_count == w.caret_count + 2
 
     def test_csv_format_and_determinism(self):
         samples = distortion_sweep(f_z_spec(), 25, seed=0)

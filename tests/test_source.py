@@ -1,6 +1,9 @@
 """Checks on the library's source text."""
 
 import ast
+import contextlib
+import importlib
+import io
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "thompsonf"
@@ -14,3 +17,64 @@ def test_library_checks_survive_optimized_mode():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+ROOT = SRC.parents[1]
+
+EXPORTS = {
+    "BoundsReport", "DEFAULT_RADIUS_CAP", "DistortionSample", "EmbeddingSpec",
+    "EnvelopeFit", "GroupElement", "LEAF", "Letter", "MetricEstimate",
+    "NormalForm", "ParseError", "RelatorReport", "Tree", "TreePair", "Word",
+    "WordMetricOracle", "address_interval", "affine_fit", "caret",
+    "caret_count", "check_bounds_on_ball", "clone_map", "commutator",
+    "commutator_is_trivial", "distortion_envelopes", "distortion_sweep",
+    "element_of_word", "embed_f_z", "embed_product", "envelope_fit",
+    "f_z_spec", "format_pair", "format_tree", "format_word", "generator",
+    "graft_at", "identity", "inverse", "is_prefix_free", "is_reduced",
+    "leaf_exponents", "length_bounds", "metric_estimate", "multiply",
+    "normal_form_to_tree_pair", "pair_to_dot", "parse_pair", "parse_tree",
+    "parse_word", "power", "product_spec", "random_element", "random_tree",
+    "reduce_pair", "rewrite_to_normal_form", "right_subtree_claims",
+    "right_subtree_of_root_empty", "shift", "subtree_at", "sweep_to_csv",
+    "tree_from_exponents", "tree_pair_to_normal_form", "tree_to_dot",
+    "verify_relators", "word_inverse", "x", "xinv", "z_generator",
+}
+
+
+def test_benchmark_boundaries_resolve():
+    # the traced benchmark rebinds these (module, attribute) names, so each
+    # must stay where it reads it; the tuple is read from its source text
+    tracing = ROOT / "perfbench" / "tracing.py"
+    boundaries = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "BOUNDARIES"
+    )
+    names = [(path, attr) for path, attr, _ in boundaries] + [("trees", "caret_count")]
+    assert len(names) > 20
+    for path, attr in names:
+        module, _, cls = path.partition(".")
+        owner = importlib.import_module(f"thompsonf.{module}")
+        if cls:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr)), (path, attr)
+
+
+def test_star_import_binds_the_exports():
+    namespace = {}
+    exec("from thompsonf import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTS
+    assert len(EXPORTS) == 68
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 7
+    assert [lines[0], *lines[2:]] == ["x2", "7", "3", "(5, 24)", "8", "4 1"]
