@@ -8,16 +8,29 @@ that interval (the clone subgroup at s). The shift map is the clone map
 along "1": on normal forms it raises every generator index by one.
 
 Two constructions build undistorted (quasi-isometrically embedded)
-copies of product groups inside the group:
+copies of product groups inside the group, each as one tree pair in
+time linear in its size, with no group products:
 
-  * ``embed_f_z(w, t)``: the image of (w, t) in F x Z, realized as the
-    clone of w at "11" times the t-th power of x0 x1^-1;
+  * ``embed_f_z(w, t)``: the image of (w, t) in F x Z, the clone of w at
+    "11" times (x0 x1^-1)^t. That power fixes its last leaf "11": for
+    t >= 0 its trees are (L (R_t X)) and (L_t (L Y)), with R_t and L_t
+    the right and left combs of t carets, and for t < 0 the two trees
+    swap. The image hangs w's trees at X and Y.
   * ``embed_product(addresses, f_factors, z_factors)``: the image of
-    F^m x Z^n, with each F factor cloned along its own address from a
-    prefix-free family and all Z factors cloned along the final address.
+    F^m x Z^n, the minimal skeleton tree over a prefix-free family of
+    addresses with each F factor's trees at its own address, a Z block
+    at the final one and bare leaves elsewhere. The i-th Z generator is
+    the clone of x0 x1^-1 at "1"^2i, so the block nests one level per t,
+    each inner one (innermost X = Y = L) at the outer one's leaf "11".
 
 Prefix-free addresses give subtrees with disjoint dyadic supports, which
-is why the factor images commute.
+is why the factor images commute. A skeleton caret over two leaves (bare
+or trivial parts) is exposed in both trees and is cancelled as it is
+built, and a Z level with t = 0 leaves the trivial pair trivial; every
+other caret has a non-leaf child or lies inside a reduced part, so the
+pair is reduced as built. When every part is nontrivial (no identity F
+factor, n >= 1, every t != 0) nothing cancels and
+N(image) = skeleton carets + sum N(w_i) + sum (|t_i| + 2).
 """
 
 from __future__ import annotations
@@ -25,8 +38,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .group import GroupElement, _element, generator, identity, inverse, multiply, power
-from .trees import TreePair, graft_at, validate_address
+# power is unused here but stays importable: perfbench's traced run
+# rebinds embeddings.power by name
+from .group import GroupElement, _element, generator, inverse, multiply, power
+from .trees import LEAF, Tree, TreePair, caret, graft_at, validate_address
 from .words import NormalForm, _spine_slots
 
 
@@ -62,25 +77,63 @@ def z_generator(i: int) -> GroupElement:
     return multiply(generator(2 * i), inverse(generator(2 * i + 1)))
 
 
+def _z_level(t: int, x: Tree, y: Tree) -> tuple[Tree, Tree]:
+    """Trees of (x0 x1^-1)^t with x and y hung at its fixed leaf "11";
+    the identity pair stays the identity under t = 0."""
+    if t < 0:
+        pos, neg = _z_level(-t, y, x)
+        return neg, pos
+    if t == 0 and x.is_leaf:
+        return x, y
+    right = left = LEAF
+    for _ in range(t):
+        right, left = caret(LEAF, right), caret(left, LEAF)
+    return caret(LEAF, caret(right, x)), caret(left, caret(LEAF, y))
+
+
 def embed_f_z(w: GroupElement, t: int) -> GroupElement:
     """Image of (w, t) under the F x Z embedding.
 
-    The w part is cloned into the subtree at "11" and the Z part is a
-    power of x0 x1^-1; the two commute, the map is a homomorphism, and
-    N(image) = N(w) + |t| + 2 whenever t != 0.
+    The clone of w at "11" times (x0 x1^-1)^t, built as one Z level with
+    w's trees at its leaf "11". The two commute, the map is a
+    homomorphism, and N(image) = N(w) + |t| + 2 when w != 1 and t != 0.
     """
-    return multiply(clone_map("11", w), power(z_generator(0), t))
+    return _element(TreePair(*_z_level(t, w.pair.neg, w.pair.pos)))
 
 
 def is_prefix_free(addresses: Sequence[str]) -> bool:
     """True when no address is a prefix of another (pairwise)."""
     for a in addresses:
         validate_address(a)
-    for i, a in enumerate(addresses):
-        for b in addresses[i + 1:]:
-            if a.startswith(b) or b.startswith(a):
-                return False
-    return True
+    ordered = sorted(addresses)  # a prefix sorts right before its extensions
+    return not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
+
+
+def _join(left: Tree, right: Tree) -> Tree:
+    """A skeleton caret, cancelled over two leaves: the skeleton and its
+    trivial parts agree in both trees, so such a caret is exposed in both."""
+    return LEAF if left.is_leaf and right.is_leaf else caret(left, right)
+
+
+def _skeleton(addresses: Sequence[str], parts: Sequence[Tree]) -> Tree:
+    """The minimal tree with each part at its (prefix-free) address and
+    bare leaves elsewhere. Left to right, each part climbs its address to
+    where the next address branches off, taking as left sibling the
+    subtree an earlier part left waiting at that depth."""
+    ordered = sorted(zip(addresses, parts), key=lambda item: item[0])
+    waiting: list[tuple[int, Tree]] = []  # (depth, left subtree), depths rising
+    for k, (a, t) in enumerate(ordered):
+        b = ordered[k + 1][0] if k + 1 < len(ordered) else a
+        stop = next((d + 1 for d, (p, q) in enumerate(zip(a, b)) if p != q), 0)
+        for depth in range(len(a), stop, -1):
+            if a[depth - 1] == "0":
+                t = _join(t, LEAF)
+            elif waiting and waiting[-1][0] == depth:
+                t = _join(waiting.pop()[1], t)
+            else:
+                t = _join(LEAF, t)
+        waiting.append((stop, t))
+    return t
 
 
 def embed_product(
@@ -94,7 +147,8 @@ def embed_product(
     factor and a final one shared by every Z factor, whose i-th generator
     is the clone of x_{2i} x_{2i+1}^-1. All factor images have pairwise
     disjoint supports except inside the final clone, so they commute and
-    the map is a homomorphism.
+    the map is a homomorphism. Built as the skeleton pair of the module
+    docstring; each address is validated once, by is_prefix_free.
     """
     addresses = tuple(addresses)
     if not is_prefix_free(addresses):
@@ -104,13 +158,12 @@ def embed_product(
             f"need {len(f_factors) + 1} addresses for {len(f_factors)} "
             f"group factors, got {len(addresses)}"
         )
-    acc = identity()
-    for address, w in zip(addresses, f_factors):
-        acc = multiply(acc, clone_map(address, w))
-    final = addresses[-1]
-    for i, t in enumerate(z_factors):
-        acc = multiply(acc, power(clone_map(final, z_generator(i)), t))
-    return acc
+    x = y = LEAF
+    for t in reversed(z_factors):
+        x, y = _z_level(t, x, y)
+    neg = _skeleton(addresses, [w.pair.neg for w in f_factors] + [x])
+    pos = _skeleton(addresses, [w.pair.pos for w in f_factors] + [y])
+    return _element(TreePair(neg, pos))
 
 
 def address_interval(address: str) -> tuple[Fraction, Fraction]:

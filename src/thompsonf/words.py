@@ -221,6 +221,10 @@ def normal_form_to_tree_pair(nf: NormalForm) -> TreePair:
 _REWRITE_STEP_CAP = 200_000
 
 
+class RewriteLimitError(ValueError):
+    """A word needs more rewriting steps than ``_REWRITE_STEP_CAP``."""
+
+
 def _semi_normalize(letters: list[Letter]) -> None:
     """Push positive letters left and sort both parts, in place.
 
@@ -254,7 +258,8 @@ def _semi_normalize(letters: list[Letter]) -> None:
         i = max(i - 1, 0)
         steps += 1
         if steps > _REWRITE_STEP_CAP:
-            raise RuntimeError("rewriting step cap exceeded")
+            raise RewriteLimitError(f"rewriting needs more than "
+                                    f"_REWRITE_STEP_CAP = {_REWRITE_STEP_CAP} steps")
 
 
 def _blocks(indices: Sequence[int]) -> list[list[int]]:
@@ -265,7 +270,7 @@ def _blocks(indices: Sequence[int]) -> list[list[int]]:
             out[-1][1] += 1
         else:
             if out and out[-1][0] > idx:
-                raise AssertionError("semi-normal part is not sorted")
+                raise ValueError("semi-normal part is not sorted")
             out.append([idx, 1])
     return out
 

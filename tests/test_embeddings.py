@@ -26,7 +26,9 @@ from thompsonf import (
     shift,
     z_generator,
 )
+from thompsonf import embeddings as embeddings_module
 from thompsonf import group as group_module
+from thompsonf import trees as trees_module
 from thompsonf.metric import random_element
 
 from conftest import el, elements
@@ -37,6 +39,43 @@ def intervals_disjoint(a, b):
 
 
 addresses = st.text(alphabet="01", max_size=5)
+
+
+def reference_embed_f_z(w, t):
+    """The F x Z image the algebraic way: a clone times a power."""
+    return multiply(clone_map("11", w), power(z_generator(0), t))
+
+
+def reference_embed_product(addrs, f_factors, z_factors):
+    """The F^m x Z^n image the algebraic way: a product of clones and powers."""
+    acc = identity()
+    for address, w in zip(addrs, f_factors):
+        acc = multiply(acc, clone_map(address, w))
+    for i, t in enumerate(z_factors):
+        acc = multiply(acc, power(clone_map(addrs[-1], z_generator(i)), t))
+    return acc
+
+
+@st.composite
+def prefix_free_addresses(draw):
+    """1-4 pairwise prefix-free addresses in random order."""
+    kept = []
+    for a in draw(st.lists(addresses, min_size=1, max_size=4)):
+        if not any(a.startswith(b) or b.startswith(a) for b in kept):
+            kept.append(a)
+    return tuple(kept)
+
+
+def skeleton_carets(addrs):
+    """Carets of the minimal tree with a node at every address."""
+    return len({a[:k] for a in addrs for k in range(len(a))})
+
+
+# the address sets of the four specs perfbench's sweep workload runs
+PERFBENCH_ADDRESSES = [("11",), ("0", "11"), ("0", "10", "11"), ("00", "01", "1")]
+EDGE_ADDRESSES = PERFBENCH_ADDRESSES + [("",), ("1", "00", "011", "010")]
+factors = st.one_of(st.just(identity()), elements(max_carets=5))
+heights = st.integers(-4, 4)
 
 
 def incomparable_pair(rng, max_len=4):
@@ -147,6 +186,12 @@ class TestPrefixSets:
         assert not is_prefix_free(("", "0"))
         assert is_prefix_free(())
         assert is_prefix_free(("",))
+
+    @given(st.lists(addresses, max_size=5))
+    def test_matches_pairwise_definition(self, addrs):
+        pairwise = all(not (a.startswith(b) or b.startswith(a))
+                       for i, a in enumerate(addrs) for b in addrs[i + 1:])
+        assert is_prefix_free(addrs) == pairwise
 
     def test_interval_examples(self):
         assert address_interval("") == (Fraction(0), Fraction(1))
@@ -276,6 +321,97 @@ class TestProductEmbedding:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             embed_product(("0", "11"), (generator(0), generator(1)), ())
+
+
+class TestDirectConstruction:
+    """The grafted image pair against the clone/power/multiply route."""
+
+    @given(factors, heights)
+    def test_f_z_matches_reference(self, w, t):
+        image = embed_f_z(w, t)
+        assert is_reduced(image.pair)
+        assert image == reference_embed_f_z(w, t)
+
+    @given(st.one_of(st.sampled_from(EDGE_ADDRESSES), prefix_free_addresses()),
+           st.data())
+    def test_product_matches_reference(self, addrs, data):
+        m = len(addrs) - 1
+        fs = data.draw(st.lists(factors, min_size=m, max_size=m))
+        zs = data.draw(st.lists(heights, max_size=3))
+        image = embed_product(addrs, fs, zs)
+        assert is_reduced(image.pair)
+        assert image == reference_embed_product(addrs, fs, zs)
+
+    def test_edge_cases_match_reference(self):
+        # identity factors, t = 0 inside and outside, negative t, n = 0..3
+        rng = random.Random(67)
+        for addrs in EDGE_ADDRESSES:
+            for zs in [(), (0,), (-2,), (3, 0), (0, -1), (2, -3, 1)]:
+                for trivial in (False, True):
+                    fs = [random_element(rng, 6, nontrivial=True) for _ in addrs[1:]]
+                    if trivial and fs:
+                        fs[-1] = identity()
+                    image = embed_product(addrs, fs, zs)
+                    assert is_reduced(image.pair)
+                    assert image == reference_embed_product(addrs, fs, zs)
+        for t in (-3, 0, 2):
+            assert embed_f_z(identity(), t) == reference_embed_f_z(identity(), t)
+
+    def test_caret_count_closed_form(self):
+        # every part nontrivial: skeleton + sum N(w_i) + sum (|t_i| + 2)
+        rng = random.Random(71)
+        for addrs in EDGE_ADDRESSES:
+            for _ in range(30):
+                fs = [random_element(rng, 8, nontrivial=True) for _ in addrs[1:]]
+                zs = [rng.choice((-1, 1)) * rng.randint(1, 6)
+                      for _ in range(rng.randint(1, 3))]
+                expected = (skeleton_carets(addrs)
+                            + sum(w.caret_count for w in fs)
+                            + sum(abs(t) + 2 for t in zs))
+                assert embed_product(addrs, fs, zs).caret_count == expected
+        assert skeleton_carets(("0", "11")) + generator(0).caret_count + 3 == 7
+
+    def test_embedding_makes_no_products_and_no_reduction(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("product or reduction on the embedding path")
+
+        for name in ("multiply", "power", "clone_map"):
+            monkeypatch.setattr(embeddings_module, name, forbidden)
+        monkeypatch.setattr(group_module, "reduce_pair", forbidden)
+        w = el("x0^2 x3 x1^-1")
+        cases = [(("00", "01", "1"), (w, identity()), (2, 0, -1)),
+                 (("0", "11"), (identity(),), (0,)),
+                 (("0", "10", "11"), (w, w), ())]
+        images = [embed_product(*case) for case in cases]
+        fz = [embed_f_z(w, -3), embed_f_z(identity(), 0), embed_f_z(w, 0)]
+        monkeypatch.undo()
+        assert images == [reference_embed_product(*case) for case in cases]
+        assert fz == [reference_embed_f_z(w, -3), identity(),
+                      reference_embed_f_z(w, 0)]
+
+    def test_each_address_validated_once(self, monkeypatch):
+        calls, real = [], trees_module.validate_address
+
+        def counting(address):
+            calls.append(address)
+            return real(address)
+
+        monkeypatch.setattr(embeddings_module, "validate_address", counting)
+        monkeypatch.setattr(trees_module, "validate_address", counting)
+        embed_product(("0", "10", "11"), (generator(0), generator(1)), (1,))
+        assert sorted(calls) == ["0", "10", "11"]
+
+    def test_3000_bit_address(self, default_recursion_limit):
+        addrs = ("00", "01" * 1500, "1")
+        w = el("x1 x0^-1")
+        image = embed_product(addrs, (generator(0), w), (2,))
+        assert is_reduced(image.pair)
+        # the skeleton is the 3,000 carets on the path to the deep address
+        assert image.caret_count == 3000 + 2 + w.caret_count + 4
+        assert image == reference_embed_product(addrs, (generator(0), w), (2,))
+        trivial = embed_product(addrs, (generator(0), identity()), (2,))
+        assert trivial == reference_embed_product(
+            addrs, (generator(0), identity()), (2,))
 
 
 class TestRightSubtreeClaims:

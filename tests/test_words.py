@@ -27,6 +27,7 @@ from thompsonf import (
     xinv,
 )
 from thompsonf import group as group_module
+from thompsonf import words as words_module
 from thompsonf.metric import random_element
 
 from conftest import el, elements, tree_pairs
@@ -123,6 +124,22 @@ class TestRewritingOracle:
         assert rewrite_to_normal_form(word) == NormalForm(
             ((1, 1), (4, 1)), ((2, 1),)
         )
+
+
+    def test_step_cap_raises_a_typed_error_naming_it(self, monkeypatch):
+        word = (xinv(0), x(1), x(0), x(3), x(2))
+        expected = rewrite_to_normal_form(word)
+        monkeypatch.setattr(words_module, "_REWRITE_STEP_CAP", 2)
+        with pytest.raises(ValueError, match="_REWRITE_STEP_CAP = 2") as info:
+            rewrite_to_normal_form(word)
+        assert isinstance(info.value, words_module.RewriteLimitError)
+        monkeypatch.undo()
+        assert rewrite_to_normal_form(word) == expected
+
+    def test_unsorted_block_input_raises_value_error(self):
+        assert words_module._blocks([1, 1, 2]) == [[1, 2], [2, 1]]
+        with pytest.raises(ValueError, match="not sorted"):
+            words_module._blocks([2, 1])
 
 
 class TestBijection:
