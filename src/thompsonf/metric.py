@@ -10,6 +10,11 @@ never multiplies an element back along the edge it was reached by, so
 it costs one product per edge between consecutive spheres (33,228 to
 radius 9 for 31,589 elements).
 
+The random sampler draws exactly what the plain recursive definition
+draws from the seed. It builds trees without recursion, sharing their
+subtrees of one and two carets, and reduces each pair from the carets
+over two leaves it recorded, in time linear in the caret count.
+
 The distortion sweep samples random product-group elements, embeds them,
 and records the caret-count bounds of the image next to the product norm
 of the input. Product norms use the caret-count lower bound for each
@@ -38,8 +43,9 @@ from itertools import islice
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .embeddings import embed_f_z, embed_product
-from .group import GroupElement, generator, identity, inverse, multiply
-from .trees import LEAF, Tree, TreePair, caret
+from .group import GroupElement, _element, generator, identity, inverse, multiply
+from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
+                    _node, _reduce_hits)
 
 DEFAULT_RADIUS_CAP = 9
 
@@ -223,28 +229,73 @@ def metric_estimate(g: GroupElement, oracle: WordMetricOracle | None = None,
 
 # --- random element sampler -------------------------------------------
 
+def _randbelow(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` from ``rng.getrandbits``, bit for bit: CPython
+    3.10-3.13 draw n.bit_length() bits until they are below n. randint(a, b)
+    is a + randrange(b - a + 1) and choice(seq) is seq[randrange(len(seq))]."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_shape(getrandbits, carets: int, cherries: list[int]) -> Tree:
+    """random_tree's tree, drawn in the same preorder without recursion;
+    appends the first leaf of each caret over two leaves to ``cherries``."""
+    done: list[Tree] = []
+    todo = [carets]  # caret counts of the subtrees still to draw; -1 joins two
+    leaf = 0  # first leaf of the next subtree
+    while todo:
+        c = todo.pop()
+        if c > 2:
+            left = _randbelow(getrandbits, c)
+            todo += (-1, c - 1 - left, left)
+        elif c == -1:
+            right = done.pop()
+            done[-1] = _node(done[-1], right)
+        elif c == 0:
+            done.append(LEAF)
+            leaf += 1
+        else:  # a shared subtree: the cherry, or two carets with it left or right
+            on_left = c == 1 or _randbelow(getrandbits, 2)
+            while getrandbits(1):  # randrange(1) of the cherry
+                pass
+            done.append(_CHERRY if c == 1 else
+                        _CHERRY_LEFT if on_left else _CHERRY_RIGHT)
+            cherries.append(leaf if on_left else leaf + 1)
+            leaf += c + 1
+    return done[0]
+
+
 def random_tree(rng: random.Random, carets: int) -> Tree:
-    """Random tree shape with the given caret count (not uniform, just varied)."""
-    if carets == 0:
-        return LEAF
-    left = rng.randrange(carets)
-    return caret(random_tree(rng, left), random_tree(rng, carets - 1 - left))
+    """Random tree shape with the given caret count (not uniform, just varied):
+    a subtree of c carets puts randrange(c) of them on its left, in preorder."""
+    if carets < 0:
+        raise ValueError("caret count must be nonnegative")
+    return _random_shape(rng.getrandbits, carets, [])
 
 
 def random_element(rng: random.Random, max_carets: int,
                    nontrivial: bool = False) -> GroupElement:
     """Random element from a random same-size tree pair, reduced.
 
+    The draws are randint(1, max_carets) carets, then random_tree twice.
     With ``nontrivial`` the identity is resampled away, which the
     distortion sweep uses to keep every factor active.
     """
+    if max_carets < 1:
+        raise ValueError("max_carets must be at least 1")
+    getrandbits = rng.getrandbits
     while True:
-        carets = rng.randint(1, max_carets)
-        g = GroupElement.from_pair(
-            TreePair(random_tree(rng, carets), random_tree(rng, carets))
-        )
-        if not nontrivial or not g.is_identity:
-            return g
+        carets = 1 + _randbelow(getrandbits, max_carets)
+        neg_cherries, pos_cherries = [], []
+        neg = _random_shape(getrandbits, carets, neg_cherries)
+        pos = _random_shape(getrandbits, carets, pos_cherries)
+        hits = sorted(set(neg_cherries).intersection(pos_cherries))
+        pair = TreePair(*_reduce_hits(neg, pos, hits))
+        if not nontrivial or not pair.pos.is_leaf:
+            return _element(pair)
 
 
 # --- distortion sweep ---------------------------------------------------
@@ -369,9 +420,11 @@ def envelope_fit(points: Sequence[tuple[int, int]], side: str) -> EnvelopeFit:
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     slope, intercept = affine_fit(points)
-    residuals = [Fraction(y) - slope * x for x, y in points]
-    shifted = max(residuals) if side == "upper" else min(residuals)
-    return EnvelopeFit(slope, intercept, shifted)
+    # y - slope x = (y q - p x) / q with slope = p / q, q > 0: integer residuals
+    p, q = slope.numerator, slope.denominator
+    residuals = [y * q - p * x for x, y in points]
+    best = max(residuals) if side == "upper" else min(residuals)
+    return EnvelopeFit(slope, intercept, Fraction(best, q))
 
 
 def distortion_envelopes(

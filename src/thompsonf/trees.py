@@ -13,7 +13,10 @@ directly as dictionary keys (the word-metric oracle depends on this).
 Every operation is a pure function; nothing needs synchronization.
 
 Trees share untouched subtrees, and no walk here recurses more than 64
-levels deep, so Python's recursion limit bounds no element's size. A
+levels deep, so Python's recursion limit bounds no element's size.
+Internal construction uses ``_node``, which skips ``Tree``'s check. The
+random sampler's trees share the one- and two-caret subtrees ``_CHERRY``,
+``_CHERRY_LEFT`` and ``_CHERRY_RIGHT``, as all trees share ``LEAF``. A
 product of reduced pairs (union_tree, leaf_growths, expand_leaves,
 reduce_product) costs time in the size of the smaller factor plus the
 root paths it rebuilds, not in the size of the larger factor;
@@ -88,8 +91,25 @@ class Tree:
 # slot setters that bypass the immutability guard, for construction only
 _set_left, _set_right = Tree.left.__set__, Tree.right.__set__
 _set_leaves, _set_hash = Tree.leaves.__set__, Tree._hash.__set__
+_new = object.__new__
 _LEAF_HASH = hash(("tree-leaf",))
 LEAF = Tree()
+
+
+def _node(left: Tree, right: Tree) -> Tree:
+    """The caret over two trees, without ``Tree``'s argument check: every
+    internal construction site passes two trees. As immutable as any Tree."""
+    t = _new(Tree)
+    _set_left(t, left)
+    _set_right(t, right)
+    _set_leaves(t, left.leaves + right.leaves)
+    _set_hash(t, hash((left._hash, right._hash)))
+    return t
+
+
+# the subtrees of one and two carets; immutable, so any tree may share them
+_CHERRY = _node(LEAF, LEAF)
+_CHERRY_LEFT, _CHERRY_RIGHT = _node(_CHERRY, LEAF), _node(LEAF, _CHERRY)
 
 
 def caret(left: Tree, right: Tree) -> Tree:
@@ -171,7 +191,7 @@ def tree_from_exponents(vec: Sequence[int]) -> Tree:
         stack.append(LEAF)
         for _ in range(count):
             left = stack.pop()
-            stack[-1] = Tree(left, stack[-1])
+            stack[-1] = _node(left, stack[-1])
     return stack[0]
 
 
@@ -229,7 +249,7 @@ def _rebuild(t: Tree, spans: list[tuple[int, int, Tree]]) -> Tree:
         node, first, lo, hi = todo.pop()
         if hi < 0:  # both children of node are rebuilt
             right = done.pop()
-            done[-1] = Tree(done[-1], right)
+            done[-1] = _node(done[-1], right)
         elif lo == hi:
             done.append(node)
         elif spans[lo][0] == first and spans[lo][1] == node.leaves:
@@ -253,7 +273,7 @@ def _rebuild_shallow(node: Tree, first: int, spans: list, lo: int, hi: int) -> T
         left = _rebuild_shallow(left, first, spans, lo, split)
     if split < hi:
         right = _rebuild_shallow(right, mid, spans, split, hi)
-    return Tree(left, right)
+    return _node(left, right)
 
 
 def is_reduced(pair: TreePair) -> bool:
@@ -268,9 +288,13 @@ def reduce_pair(pair: TreePair) -> TreePair:
     scan and one walk per tree (see _cancel). A reduced pair comes back as is.
     """
     hits = sorted(_exposed_carets(pair.neg) & _exposed_carets(pair.pos))
-    if not hits:
-        return pair
-    return TreePair(*_cancel(pair.neg, pair.pos, hits, _probe(pair.pos, hits)[1]))
+    return TreePair(*_reduce_hits(pair.neg, pair.pos, hits)) if hits else pair
+
+
+def _reduce_hits(neg: Tree, pos: Tree, hits: list[int]) -> tuple[Tree, Tree]:
+    """The reduced trees of (neg, pos), whose common exposed carets are ``hits``,
+    sorted: the positions m of carets over leaves m and m+1 in both trees."""
+    return _cancel(neg, pos, hits, _probe(pos, hits)[1]) if hits else (neg, pos)
 
 
 def _probe(t: Tree, positions: list[int]) -> tuple[list[int], dict]:
@@ -347,7 +371,7 @@ def graft_at(inner: Tree, address: str) -> Tree:
     validate_address(address)
     t = inner
     for bit in reversed(address):
-        t = caret(t, LEAF) if bit == "0" else caret(LEAF, t)
+        t = _node(t, LEAF) if bit == "0" else _node(LEAF, t)
     return t
 
 
@@ -473,7 +497,7 @@ def parse_tree(text: str) -> Tree:
         while pending and pending[-1] is not None:  # tree is a right subtree
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError("expected ')'", pos)
-            tree, pos = caret(pending.pop(), tree), pos + 1
+            tree, pos = _node(pending.pop(), tree), pos + 1
         if not pending:
             break
         if pos >= len(text) or text[pos] != " ":

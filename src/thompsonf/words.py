@@ -78,10 +78,16 @@ def word_inverse(word: Sequence[Letter]) -> Word:
 
 
 _TERM_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?")
+_MAX_LETTERS, _MAX_INDEX = 100_000, 10_000  # longest word, largest index parsed
+
+
+class WordLimitError(ParseError):
+    """A word over ``_MAX_LETTERS`` letters or with an index over ``_MAX_INDEX``."""
 
 
 def parse_word(text: str) -> Word:
-    """Parse the word grammar; raises ParseError with the bad position."""
+    """Parse the word grammar; raises ParseError with the bad position, or
+    WordLimitError for a term over a limit, before the term is expanded."""
     letters: list[Letter] = []
     pos = 0
     n = len(text)
@@ -98,6 +104,10 @@ def parse_word(text: str) -> Word:
             raise ParseError(f"bad term {token!r}", start)
         index = int(m.group(1))
         exponent = 1 if m.group(2) is None else int(m.group(2))
+        if index > _MAX_INDEX:
+            raise WordLimitError(f"index above _MAX_INDEX = {_MAX_INDEX}", start)
+        if len(letters) + abs(exponent) > _MAX_LETTERS:
+            raise WordLimitError(f"word over _MAX_LETTERS = {_MAX_LETTERS}", start)
         sign = 1 if exponent >= 0 else -1
         letters.extend(Letter(index, sign) for _ in range(abs(exponent)))
     return tuple(letters)

@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thompsonf import (
+    LEAF,
     GroupElement,
     TreePair,
     address_interval,
+    caret,
     clone_map,
     commutator_is_trivial,
     embed_f_z,
@@ -400,6 +402,20 @@ class TestDirectConstruction:
         monkeypatch.setattr(trees_module, "validate_address", counting)
         embed_product(("0", "10", "11"), (generator(0), generator(1)), (1,))
         assert sorted(calls) == ["0", "10", "11"]
+
+    def test_shared_combs(self):
+        table = embeddings_module._COMBS
+        assert len(table) == 65 and table[0] == (LEAF, LEAF)
+        right = left = LEAF
+        for t in range(1, len(table)):
+            right, left = caret(LEAF, right), caret(left, LEAF)
+            assert table[t] == (right, left)
+            assert table[t][0].right is table[t - 1][0]
+            assert table[t][1].left is table[t - 1][1]
+        z = el("x0 x1^-1")
+        for t in (63, 64, 65, 80):  # past the table the combs grow on
+            assert embed_f_z(identity(), t) == power(z, t)
+            assert embed_f_z(identity(), -t) == power(inverse(z), t)
 
     def test_3000_bit_address(self, default_recursion_limit):
         addrs = ("00", "01" * 1500, "1")

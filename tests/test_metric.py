@@ -5,9 +5,15 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thompsonf import (
+    LEAF,
+    GroupElement,
     MetricEstimate,
+    TreePair,
+    caret,
     caret_count,
     WordMetricOracle,
     affine_fit,
@@ -28,8 +34,9 @@ from thompsonf import (
     shift,
     sweep_to_csv,
 )
+from thompsonf import group as group_module
 from thompsonf import metric as metric_module
-from thompsonf.metric import random_element, random_tree
+from thompsonf.metric import _randbelow, random_element, random_tree
 
 from conftest import el
 
@@ -213,6 +220,73 @@ class TestMetricEstimate:
         assert est.exact == 0
 
 
+def reference_random_tree(rng, carets):
+    """The recursive sampler: randrange(carets) carets go left, in preorder."""
+    if carets == 0:
+        return LEAF
+    left = rng.randrange(carets)
+    return caret(reference_random_tree(rng, left),
+                 reference_random_tree(rng, carets - 1 - left))
+
+
+def reference_random_element(rng, max_carets, nontrivial=False):
+    """The sampler through randint, the recursive trees and reduce_pair."""
+    while True:
+        carets = rng.randint(1, max_carets)
+        g = GroupElement.from_pair(TreePair(reference_random_tree(rng, carets),
+                                            reference_random_tree(rng, carets)))
+        if not nontrivial or not g.is_identity:
+            return g
+
+
+class TestDrawIdentity:
+    def test_elements_and_states_match_the_recursive_sampler(self):
+        for seed in range(200):
+            for max_carets in range(1, 41):
+                nontrivial = max_carets > 1 and seed % 2 == 0  # x0^0 only below 2
+                ours, ref = random.Random(seed), random.Random(seed)
+                for _ in range(2):
+                    g = random_element(ours, max_carets, nontrivial)
+                    h = reference_random_element(ref, max_carets, nontrivial)
+                    assert g == h
+                    assert (g.pair.neg, g.pair.pos) == (h.pair.neg, h.pair.pos)
+                assert ours.getstate() == ref.getstate(), (seed, max_carets)
+
+    def test_trees_and_states_match_the_recursive_sampler(self):
+        for seed in range(50):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for carets in range(41):
+                assert random_tree(ours, carets) == reference_random_tree(ref, carets)
+            assert ours.getstate() == ref.getstate()
+
+    def test_randbelow_is_randrange(self):
+        ours, ref = random.Random(5), random.Random(5)
+        for n in [*range(1, 301), 2 ** 32]:
+            for _ in range(3):
+                assert _randbelow(ours.getrandbits, n) == ref.randrange(n)
+        assert ours.getstate() == ref.getstate()
+
+    def test_randbelow_is_randint_and_choice(self):
+        ours, ref = random.Random(6), random.Random(6)
+        for _ in range(500):
+            assert 1 + _randbelow(ours.getrandbits, 12) == ref.randint(1, 12)
+            assert (-1, 1)[_randbelow(ours.getrandbits, 2)] == ref.choice((-1, 1))
+        assert ours.getstate() == ref.getstate()
+
+    def test_empty_ranges_rejected(self):
+        with pytest.raises(ValueError):
+            random_element(random.Random(0), 0)
+        with pytest.raises(ValueError):
+            random_tree(random.Random(0), -1)
+
+    def test_sampler_skips_reduce_pair(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the sampler reduces from its own cherries")
+        monkeypatch.setattr(group_module, "reduce_pair", forbidden)
+        rng = random.Random(4)
+        assert all(random_element(rng, 12).pair for _ in range(100))
+
+
 class TestSampler:
     def test_seeded_reproducibility(self):
         a = [random_element(random.Random(99), 10) for _ in range(20)]
@@ -293,6 +367,23 @@ class TestFits:
         for xv, yv in points:
             assert yv <= up.slope * xv + up.envelope_intercept
             assert yv >= lo.slope * xv + lo.envelope_intercept
+
+    def test_envelope_examples_with_negative_slope_and_ties(self):
+        # slope -1/2; the upper residual 11/2 is reached at x = 1 and x = 3
+        points = [(0, -2), (1, 5), (2, 3), (3, 4), (5, -3)]
+        up, lo = envelope_fit(points, "upper"), envelope_fit(points, "lower")
+        assert up.slope == lo.slope == Fraction(-1, 2)
+        assert up.envelope_intercept == Fraction(11, 2)
+        assert lo.envelope_intercept == Fraction(-2)
+
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-40, 40)),
+                    min_size=2, max_size=12).filter(lambda ps: len({x for x, _ in ps}) > 1),
+           st.sampled_from(("upper", "lower")))
+    def test_envelope_matches_fraction_residuals(self, points, side):
+        fit = envelope_fit(points, side)
+        residuals = [Fraction(y) - fit.slope * x for x, y in points]
+        assert fit.envelope_intercept == (max if side == "upper" else min)(residuals)
+        assert (fit.slope, fit.ls_intercept) == affine_fit(points)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):

@@ -51,7 +51,8 @@ def test_benchmark_boundaries_resolve():
         if isinstance(node, ast.Assign)
         and getattr(node.targets[0], "id", None) == "BOUNDARIES"
     )
-    names = [(path, attr) for path, attr, _ in boundaries] + [("trees", "caret_count")]
+    names = [(path, attr) for path, attr, _ in boundaries]
+    names += [("trees", "caret_count"), ("trees", "caret"), ("metric", "random_element")]
     assert len(names) > 20
     for path, attr in names:
         module, _, cls = path.partition(".")

@@ -9,6 +9,7 @@ from thompsonf import (
     LEAF,
     GroupElement,
     ParseError,
+    Tree,
     TreePair,
     caret,
     caret_count,
@@ -32,7 +33,11 @@ from thompsonf import (
 )
 from thompsonf.metric import random_tree
 from thompsonf.trees import (
+    _CHERRY,
+    _CHERRY_LEFT,
+    _CHERRY_RIGHT,
     _candidates,
+    _node,
     _probe,
     expand_leaves,
     leaf_addresses,
@@ -175,6 +180,36 @@ class TestCounts:
     @given(trees())
     def test_leaf_count_is_caret_count_plus_one(self, t):
         assert t.leaves == caret_count(t) + 1
+
+
+class TestNodeFactory:
+    @given(trees(), trees())
+    def test_node_equals_checked_caret(self, left, right):
+        t, checked = _node(left, right), Tree(left, right)
+        assert t == checked and checked == t
+        assert hash(t) == hash(checked)
+        assert t.leaves == checked.leaves
+        assert (t.left, t.right) == (left, right)
+
+    def test_node_is_immutable(self):
+        t = _node(LEAF, LL)
+        for name in ("left", "right", "leaves", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, LEAF)
+        assert format_tree(t) == "(L (L L))"
+
+    def test_public_constructors_keep_their_check(self):
+        for build in (Tree, caret):
+            with pytest.raises(ValueError):
+                build(LEAF, None)
+            with pytest.raises(ValueError):
+                build(None, LEAF)
+
+    def test_shared_subtrees(self):
+        assert _CHERRY == LL
+        assert _CHERRY_LEFT == parse_tree("((L L) L)")
+        assert _CHERRY_RIGHT == parse_tree("(L (L L))")
+        assert _CHERRY_LEFT.left is _CHERRY_RIGHT.right is _CHERRY
 
 
 class TestLeafExponents:

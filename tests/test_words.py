@@ -64,6 +64,23 @@ class TestParsing:
             parse_word("x1^")
         assert err.value.position == 0
 
+    def test_limits_are_named_and_checked_before_expansion(self, monkeypatch):
+        assert len(parse_word(f"x0^{words_module._MAX_LETTERS}")) == words_module._MAX_LETTERS
+        assert parse_word(f"x{words_module._MAX_INDEX}") == (x(words_module._MAX_INDEX),)
+        built, letter = [], words_module.Letter
+        monkeypatch.setattr(words_module, "Letter",
+                            lambda index, sign: built.append(index) or letter(index, sign))
+        cases = [(f"x{words_module._MAX_INDEX + 1}", "_MAX_INDEX", 0),
+                 (f"x1 x0^{words_module._MAX_LETTERS}", "_MAX_LETTERS", 3),
+                 (f"x0^-{words_module._MAX_LETTERS + 1}", "_MAX_LETTERS", 0)]
+        for text, limit, position in cases:
+            built.clear()
+            with pytest.raises(words_module.WordLimitError, match=limit) as err:
+                parse_word(text)
+            assert isinstance(err.value, ParseError)
+            assert err.value.position == position
+            assert built == ([1] if position else [])
+
     def test_format_groups_runs(self):
         word = (x(0), x(0), x(0), xinv(3), xinv(2))
         assert format_word(word) == "x0^3 x3^-1 x2^-1"
