@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterable
 
+# union_tree is unused here; perfbench's traced run rebinds it by name
 from .trees import (
     IDENTITY_PAIR,
     TreePair,
@@ -97,16 +98,16 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Product of a then b via common refinement of the two pairs.
 
     The pairs are unreduced to representatives sharing a middle tree,
-    the union of a's negative and b's positive tree; the outer trees,
-    expanded by the same leaf splittings, form the product pair, which
-    reduce_product cancels locally. Cost: O(size of the smaller factor)
+    the union of a's negative and b's positive tree, which is never built:
+    one walk of those two trees gives both lists of leaf growths. The
+    outer trees, expanded by the same growths, form the product pair,
+    which reduce_product cancels locally. Cost: O(size of the smaller factor)
     plus the root paths rebuilt to the growths and cancelled carets,
     so multiplying a large element by a generator does not walk it.
     """
     an, ap = a.pair.neg, a.pair.pos
     bn, bp = b.pair.neg, b.pair.pos
-    middle = union_tree(an, bp)
-    a_spans, b_spans = leaf_growths(an, middle), leaf_growths(bp, middle)
+    a_spans, b_spans = leaf_growths(an, bp)
     ap2, bn2 = expand_leaves(ap, a_spans), expand_leaves(bn, b_spans)
     if ap.leaves <= bn.leaves:
         ap2, bn2 = reduce_product(ap, a_spans, ap2, bn2)

@@ -284,8 +284,9 @@ def random_element(rng: random.Random, max_carets: int,
     With ``nontrivial`` the identity is resampled away, which the
     distortion sweep uses to keep every factor active.
     """
-    if max_carets < 1:
-        raise ValueError("max_carets must be at least 1")
+    least = 2 if nontrivial else 1  # every 1-caret pair reduces to the identity
+    if max_carets < least:
+        raise ValueError(f"max_carets must be at least {least}")
     getrandbits = rng.getrandbits
     while True:
         carets = 1 + _randbelow(getrandbits, max_carets)

@@ -17,10 +17,10 @@ levels deep, so Python's recursion limit bounds no element's size.
 Internal construction uses ``_node``, which skips ``Tree``'s check. The
 random sampler's trees share the one- and two-caret subtrees ``_CHERRY``,
 ``_CHERRY_LEFT`` and ``_CHERRY_RIGHT``, as all trees share ``LEAF``. A
-product of reduced pairs (union_tree, leaf_growths, expand_leaves,
-reduce_product) costs time in the size of the smaller factor plus the
-root paths it rebuilds, not in the size of the larger factor;
-reduce_pair is linear.
+product of reduced pairs (leaf_growths, one walk for both factors;
+expand_leaves; reduce_product) costs time in the size of the smaller
+factor plus the root paths it rebuilds, not in the size of the larger
+factor; reduce_pair is linear.
 
 Text format (bit-exact): ``tree ::= "L" | "(" tree " " tree ")"`` and a
 pair serializes as ``"negtree | postree"``.
@@ -384,41 +384,33 @@ def right_subtree_of_root_empty(t: Tree) -> bool:
 
 # --- common refinement and local cancellation (used by group multiplication) ---
 
-def _spans(base: Tree, other: Tree, strict: bool) -> list[tuple[int, int, Tree]]:
-    """Sorted spans (n, 1, sub), one per leaf n of ``base`` below which
-    ``other`` goes on as ``sub``; ``other`` stopping above a caret of
-    ``base`` raises if ``strict``. Shared subtrees are skipped."""
-    out: list[tuple[int, int, Tree]] = []
-    todo = [(base, other, 0)]
+def leaf_growths(a: Tree, b: Tree) -> tuple[list, list]:
+    """Sorted spans (n, 1, sub) that grow ``a`` and ``b`` into their union,
+    from one walk of both trees: leaf n of ``a`` grows into the subtree
+    ``sub`` of ``b`` in the first list, and the other way round in the
+    second. Ungrown leaves are left out and shared subtrees skipped."""
+    a_spans: list[tuple[int, int, Tree]] = []
+    b_spans: list[tuple[int, int, Tree]] = []
+    todo = [(a, b, 0, 0)]
     while todo:
-        x, r, first = todo.pop()
-        if x is r:
+        x, y, fa, fb = todo.pop()
+        if x is y:
             continue
         if x.left is None:
-            if r.left is not None:
-                out.append((first, 1, r))
-        elif r.left is not None:
-            todo.append((x.right, r.right, first + x.left.leaves))
-            todo.append((x.left, r.left, first))
-        elif strict:
-            raise ValueError("refined tree does not contain the base tree")
-    return out
+            if y.left is not None:
+                a_spans.append((fa, 1, y))
+        elif y.left is None:
+            b_spans.append((fb, 1, x))
+        else:
+            todo.append((x.right, y.right, fa + x.left.leaves, fb + y.left.leaves))
+            todo.append((x.left, y.left, fa, fb))
+    return a_spans, b_spans
 
 
 def union_tree(a: Tree, b: Tree) -> Tree:
     """Smallest tree containing both arguments as prefixes; it is ``a``
     itself when ``a`` contains ``b``, and shares subtrees with both."""
-    return _rebuild(a, _spans(a, b, False))
-
-
-def leaf_growths(base: Tree, refined: Tree) -> list[tuple[int, int, Tree]]:
-    """Sorted spans (n, 1, sub): leaf n of ``base`` grows into the subtree
-    ``sub`` of ``refined``; leaves that stay leaves are left out.
-
-    ``refined`` must contain ``base``; the result, fed to expand_leaves,
-    carries a refinement of one side of a pair over to the other side.
-    """
-    return _spans(base, refined, True)
+    return expand_leaves(a, leaf_growths(a, b)[0])
 
 
 def expand_leaves(t: Tree, spans: list[tuple[int, int, Tree]]) -> Tree:

@@ -77,8 +77,11 @@ def word_inverse(word: Sequence[Letter]) -> Word:
     return tuple(l.inverse for l in reversed(word))
 
 
-_TERM_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?")
+_TERM_RE = re.compile(r"x(\d+)(?:\^(-?)(\d+))?")
 _MAX_LETTERS, _MAX_INDEX = 100_000, 10_000  # longest word, largest index parsed
+# a number with more digits, leading zeros aside, is over both limits; int()
+# never reads one, so it never meets Python's own cap on the digits it converts
+_DIGITS = len(str(max(_MAX_LETTERS, _MAX_INDEX)))
 
 
 class WordLimitError(ParseError):
@@ -102,14 +105,15 @@ def parse_word(text: str) -> Word:
         m = _TERM_RE.fullmatch(token)
         if m is None:
             raise ParseError(f"bad term {token!r}", start)
-        index = int(m.group(1))
-        exponent = 1 if m.group(2) is None else int(m.group(2))
-        if index > _MAX_INDEX:
+        index_digits = m.group(1).lstrip("0") or "0"
+        count_digits = (m.group(3) or "1").lstrip("0") or "0"
+        if len(index_digits) > _DIGITS or (index := int(index_digits)) > _MAX_INDEX:
             raise WordLimitError(f"index above _MAX_INDEX = {_MAX_INDEX}", start)
-        if len(letters) + abs(exponent) > _MAX_LETTERS:
+        if (len(count_digits) > _DIGITS
+                or len(letters) + (count := int(count_digits)) > _MAX_LETTERS):
             raise WordLimitError(f"word over _MAX_LETTERS = {_MAX_LETTERS}", start)
-        sign = 1 if exponent >= 0 else -1
-        letters.extend(Letter(index, sign) for _ in range(abs(exponent)))
+        sign = -1 if m.group(2) else 1
+        letters.extend(Letter(index, sign) for _ in range(count))
     return tuple(letters)
 
 

@@ -18,6 +18,9 @@ class TestNormalFormCommands:
         assert code == 0
         assert out == "x0 x2\n"
 
+    def test_nf_reads_leading_zeros(self, capsys):
+        assert run(capsys, "nf", "x0001 x0^0002") == (0, "x0^2 x3\n", "")
+
     def test_nf_identity_prints_empty_line(self, capsys):
         code, out, _ = run(capsys, "nf", "x0 x0^-1")
         assert code == 0

@@ -276,6 +276,14 @@ class TestDrawIdentity:
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):
             random_element(random.Random(0), 0)
+        rng = random.Random(0)
+        state = rng.getstate()
+        for max_carets in (0, 1):  # every 1-caret pair reduces to the identity
+            with pytest.raises(ValueError):
+                random_element(rng, max_carets, nontrivial=True)
+        assert rng.getstate() == state
+        with pytest.raises(ValueError):
+            distortion_sweep(f_z_spec(), 5, max_carets=1)
         with pytest.raises(ValueError):
             random_tree(random.Random(0), -1)
 

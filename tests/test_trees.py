@@ -137,10 +137,27 @@ def detected_hits(a, b):
     candidates of a.pos and from those of b.neg (multiply takes the factor
     with fewer leaves)."""
     an, ap, bn, bp = a.pair.neg, a.pair.pos, b.pair.neg, b.pair.pos
-    middle = union_tree(an, bp)
-    a_spans, b_spans = leaf_growths(an, middle), leaf_growths(bp, middle)
+    a_spans, b_spans = leaf_growths(an, bp)
     ap2, bn2 = expand_leaves(ap, a_spans), expand_leaves(bn, b_spans)
     return _probe(bn2, _candidates(ap, a_spans))[0], _probe(ap2, _candidates(bn, b_spans))[0]
+
+
+def reference_growths(a, b):
+    """The spans of both trees read off their dense union."""
+    union = grow_dense(a, dense_growths(a, b))
+    return tuple([(n, 1, sub) for n, sub in enumerate(dense_growths(t, union)) if not sub.is_leaf]
+                 for t in (a, b))
+
+
+def assert_growths_agree(a, b):
+    ga, gb = leaf_growths(a, b)
+    assert (ga, gb) == reference_growths(a, b)
+    assert expand_leaves(a, ga) == expand_leaves(b, gb) == union_tree(a, b)
+    for base, spans in ((a, ga), (b, gb)):  # sorted spans of grown leaves only
+        assert [n for n, _, _ in spans] == sorted({n for n, _, _ in spans})
+        assert all(0 <= n < base.leaves and size == 1 and not sub.is_leaf
+                   for n, size, sub in spans)
+    return ga, gb
 
 
 def assert_product_agrees(a, b):
@@ -405,24 +422,40 @@ class TestRightSubtree:
 
 
 class TestRefinementHelpers:
-    @given(trees(max_leaves=6), trees(max_leaves=6))
+    @given(trees(), trees())
     def test_union_contains_both(self, a, b):
-        u = union_tree(a, b)
-        ga = leaf_growths(a, u)
-        gb = leaf_growths(b, u)
-        assert expand_leaves(a, ga) == u
-        assert expand_leaves(b, gb) == u
-        for base, spans in ((a, ga), (b, gb)):  # sorted spans of grown leaves only
-            assert [n for n, _, _ in spans] == sorted({n for n, _, _ in spans})
-            assert all(0 <= n < base.leaves and size == 1 and not sub.is_leaf
-                       for n, size, sub in spans)
+        assert_growths_agree(a, b)
 
-    @given(trees(max_leaves=8), trees(max_leaves=8))
-    def test_refinement_shares_unchanged_subtrees(self, a, b):
-        u = union_tree(a, b)
-        assert union_tree(u, a) is u and union_tree(u, b) is u
-        assert leaf_growths(u, u) == []
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(64, 400), st.integers(0, 400), st.randoms(use_true_random=False))
+    def test_large_trees_agree_with_dense_reference(self, n, m, rng):
+        # over 64 leaves, expand_leaves rebuilds on its own stack
+        a, b = random_tree(rng, n), random_tree(rng, m)
+        assert_growths_agree(a, b)
+        assert_growths_agree(b, a)
+
+    @settings(deadline=None)
+    @given(trees(), st.randoms(use_true_random=False))
+    def test_refinement_shares_unchanged_subtrees(self, a, rng):
+        assert leaf_growths(a, a) == ([], [])
+        spans = [(n, 1, random_tree(rng, rng.randint(1, 4)))
+                 for n in range(a.leaves) if rng.random() < 0.5]
+        u = expand_leaves(a, spans)
+        for ga, gb in (assert_growths_agree(a, u), assert_growths_agree(u, a)[::-1]):
+            assert gb == [] and len(ga) == len(spans)
+            assert all(got[0] == n and got[2] is sub for got, (n, _, sub) in zip(ga, spans))
+        assert union_tree(u, a) is u
         assert expand_leaves(a, []) is a
+
+    def test_shared_subtrees_are_not_entered(self):
+        class Sealed(Tree):  # a caret whose children no walk may read
+            __slots__ = ()
+            left = property(lambda self: pytest.fail("walked into a shared subtree"))
+
+        shared = Sealed(LL, LL)
+        a, b = caret(shared, LEAF), caret(shared, LL)
+        assert leaf_growths(a, b) == ([(4, 1, LL)], [])
+        assert leaf_growths(b, a) == ([], [(4, 1, LL)])
 
     def test_deep_trees_compare_without_recursion(self):
         # far deeper than the default recursion limit
@@ -440,10 +473,6 @@ class TestRefinementHelpers:
         with pytest.raises(ValueError):
             expand_leaves(LL, [(-1, 1, LL)])
         assert expand_leaves(LL, [(1, 1, LL)]) == RIGHT_COMB_2
-
-    def test_leaf_growths_rejects_a_non_refinement(self):
-        with pytest.raises(ValueError):
-            leaf_growths(LEFT_COMB_2, RIGHT_COMB_2)
 
 
 class TestLocalCancellation:
@@ -471,6 +500,17 @@ class TestLocalCancellation:
         start = time.perf_counter()
         assert multiply(a, b).is_identity
         assert time.perf_counter() - start < 1.0
+
+    def test_deep_combs_multiply_at_the_default_recursion_limit(self, default_recursion_limit):
+        left = right = LEAF
+        for _ in range(5000):
+            left, right = caret(left, LEAF), caret(LEAF, right)
+        a = GroupElement(TreePair(left, right))
+        b = GroupElement.from_pair(TreePair(right, random_tree(random.Random(3), 5000)))
+        for u, v in ((a, b), (b, a), (a, a), (a, inverse(a))):
+            assert multiply(multiply(u, v), inverse(v)) == u
+        assert multiply(a, inverse(a)).is_identity
+        assert multiply(b, inverse(b)).is_identity
 
     def test_many_hits_take_linear_time(self, default_recursion_limit):
         # a.pos is (LL, (LL, ...)) over a right comb: 2,000 hits in a a^-1

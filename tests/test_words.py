@@ -70,9 +70,14 @@ class TestParsing:
         built, letter = [], words_module.Letter
         monkeypatch.setattr(words_module, "Letter",
                             lambda index, sign: built.append(index) or letter(index, sign))
+        digits = "1" * 4301  # past the length Python's int() converts
         cases = [(f"x{words_module._MAX_INDEX + 1}", "_MAX_INDEX", 0),
                  (f"x1 x0^{words_module._MAX_LETTERS}", "_MAX_LETTERS", 3),
-                 (f"x0^-{words_module._MAX_LETTERS + 1}", "_MAX_LETTERS", 0)]
+                 (f"x0^-{words_module._MAX_LETTERS + 1}", "_MAX_LETTERS", 0),
+                 (f"x1 x{digits}", "_MAX_INDEX", 3),
+                 (f"x{'0' * 4300}{digits}", "_MAX_INDEX", 0),
+                 (f"x0^{digits}", "_MAX_LETTERS", 0),
+                 (f"x1 x0^-{digits}", "_MAX_LETTERS", 3)]
         for text, limit, position in cases:
             built.clear()
             with pytest.raises(words_module.WordLimitError, match=limit) as err:
@@ -80,6 +85,11 @@ class TestParsing:
             assert isinstance(err.value, ParseError)
             assert err.value.position == position
             assert built == ([1] if position else [])
+
+    def test_leading_zeros_do_not_count(self):
+        zeros = "0" * 5000
+        assert parse_word(f"x{zeros}3^-{zeros}2") == (xinv(3), xinv(3))
+        assert parse_word(f"x{zeros}^{zeros}") == ()
 
     def test_format_groups_runs(self):
         word = (x(0), x(0), x(0), xinv(3), xinv(2))
