@@ -8,8 +8,9 @@ breadth-first word-metric oracle, shift and clone maps, embeddings of
 F x Z and F^m x Z^n, and a distortion measurement harness.
 
 Values are immutable and the functions on them pure, so they may be
-shared across threads; a WordMetricOracle grows its cached ball under a
-lock, so one oracle may be shared across threads as well.
+shared across threads. The only module-level values are immutable tables,
+such as the comb table in ``trees``. A WordMetricOracle grows its cached
+ball under a lock, so one oracle may be shared across threads as well.
 """
 
 from .trees import (

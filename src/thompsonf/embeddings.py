@@ -15,8 +15,8 @@ time linear in its size, with no group products:
     "11" times (x0 x1^-1)^t. That power fixes its last leaf "11": for
     t >= 0 its trees are (L (R_t X)) and (L_t (L Y)), with R_t and L_t
     the right and left combs of t carets, and for t < 0 the two trees
-    swap. The image hangs w's trees at X and Y. The combs for t <= 64
-    are built once, at import, each sharing the one before (128 nodes).
+    swap. The image hangs w's trees at X and Y. The combs come from
+    ``trees.combs``, shared up to 64 carets.
   * ``embed_product(addresses, f_factors, z_factors)``: the image of
     F^m x Z^n, the minimal skeleton tree over a prefix-free family of
     addresses with each F factor's trees at its own address, a Z block
@@ -42,7 +42,7 @@ from typing import Sequence
 # power is unused here but stays importable: perfbench's traced run
 # rebinds embeddings.power by name
 from .group import GroupElement, _element, generator, inverse, multiply, power
-from .trees import LEAF, Tree, TreePair, _node, graft_at, validate_address
+from .trees import LEAF, Tree, TreePair, _node, combs, graft_at, validate_address
 from .words import NormalForm, _spine_slots
 
 
@@ -86,16 +86,8 @@ def _z_level(t: int, x: Tree, y: Tree) -> tuple[Tree, Tree]:
         return neg, pos
     if t == 0 and x.is_leaf:
         return x, y
-    right, left = _COMBS[min(t, len(_COMBS) - 1)]
-    for _ in range(t - len(_COMBS) + 1):  # combs longer than the table grow on
-        right, left = _node(LEAF, right), _node(left, LEAF)
+    right, left = combs(t)
     return _node(LEAF, _node(right, x)), _node(left, _node(LEAF, y))
-
-
-# (R_t, L_t) for t <= 64, each comb sharing the one before: 128 nodes
-_COMBS = ((LEAF, LEAF),)
-for _ in range(64):
-    _COMBS += ((_node(LEAF, _COMBS[-1][0]), _node(_COMBS[-1][1], LEAF)),)
 
 
 def embed_f_z(w: GroupElement, t: int) -> GroupElement:

@@ -13,15 +13,17 @@ which makes ``multiply(a, b)`` agree with concatenating words a then b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from typing import Iterable
 
 # union_tree is unused here; perfbench's traced run rebinds it by name
 from .trees import (
     IDENTITY_PAIR,
+    LEAF,
     TreePair,
+    _node,
     caret_count,
+    combs,
     expand_leaves,
     is_reduced,
     leaf_growths,
@@ -88,10 +90,21 @@ def identity() -> GroupElement:
     return _element(IDENTITY_PAIR)
 
 
-@lru_cache(maxsize=None)
 def generator(index: int) -> GroupElement:
-    """The generator x_index as a reduced tree pair."""
-    return GroupElement.from_normal_form(NormalForm(((index, 1),), ()))
+    """The generator x_index: the comb pair (R_2, L_2) under a right spine of
+    index carets, built as every run is (_run_power), in O(index) new nodes."""
+    return _run_power(Letter(index, 1), 1)
+
+
+def _run_power(letter: Letter, k: int) -> GroupElement:
+    """x_i^{+-k} for the letter x_i^{+-1}, the i-fold shift of x0^{+-k}: the
+    comb pair (R_{k+1}, L_{k+1}), swapped for x_i^-1, under a right spine of
+    i carets. O(i) new nodes; trees.combs shares combs up to 64 carets."""
+    right, left = combs(k + 1)
+    neg, pos = (right, left) if letter.sign > 0 else (left, right)
+    for _ in range(letter.index):
+        neg, pos = _node(LEAF, neg), _node(LEAF, pos)
+    return _element(TreePair(neg, pos))
 
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -144,17 +157,11 @@ def commutator_is_trivial(a: GroupElement, b: GroupElement) -> bool:
 
 
 def element_of_word(word: Iterable[Letter]) -> GroupElement:
-    """Product of the generator diagrams named by the word. A run of k >= 2
-    equal letters costs one product, by x_i^k or x_i^-k built from its
-    normal form."""
+    """Product of the generator diagrams named by the word: one product per
+    run of k letters x_i^{+-1}, by x_i^{+-k} (_run_power: O(i) new nodes)."""
     acc = identity()
     for letter, run in groupby(word):
-        k = sum(1 for _ in run)
-        if k == 1:
-            g = generator(letter.index)
-        else:
-            g = GroupElement.from_normal_form(NormalForm(((letter.index, k),), ()))
-        acc = multiply(acc, g if letter.sign > 0 else inverse(g))
+        acc = multiply(acc, _run_power(letter, sum(1 for _ in run)))
     return acc
 
 
@@ -176,21 +183,15 @@ class RelatorReport:
 def verify_relators(max_index: int = 8) -> RelatorReport:
     """Check both finite-presentation relators and the sampled infinite
     presentation relations x_i^-1 x_j x_i = x_{j+1} for i < j <= max_index."""
-    entries: list[tuple[str, bool]] = []
-    x0, x1 = generator(0), generator(1)
+    gens = [generator(i) for i in range(max_index + 2)]  # each built once
+    x0, x1 = gens[0], gens[1]
     z = multiply(x0, inverse(x1))
     conj1 = multiply(multiply(inverse(x0), x1), x0)
     conj2 = multiply(multiply(power(x0, -2), x1), power(x0, 2))
-    entries.append(
-        ("[x0 x1^-1, x0^-1 x1 x0]", commutator(z, conj1).is_identity)
-    )
-    entries.append(
-        ("[x0 x1^-1, x0^-2 x1 x0^2]", commutator(z, conj2).is_identity)
-    )
+    entries = [("[x0 x1^-1, x0^-1 x1 x0]", commutator(z, conj1).is_identity),
+               ("[x0 x1^-1, x0^-2 x1 x0^2]", commutator(z, conj2).is_identity)]
     for i in range(max_index):
         for j in range(i + 1, max_index + 1):
-            lhs = multiply(multiply(inverse(generator(i)), generator(j)), generator(i))
-            entries.append(
-                (f"x{i}^-1 x{j} x{i} = x{j + 1}", lhs == generator(j + 1))
-            )
+            lhs = multiply(multiply(inverse(gens[i]), gens[j]), gens[i])
+            entries.append((f"x{i}^-1 x{j} x{i} = x{j + 1}", lhs == gens[j + 1]))
     return RelatorReport(tuple(entries))

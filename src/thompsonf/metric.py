@@ -313,8 +313,8 @@ class EmbeddingSpec:
     def __post_init__(self):
         if self.kind not in ("phi", "psi"):
             raise ValueError("embedding kind must be 'phi' or 'psi'")
-        if self.kind == "phi" and (self.m, self.n) != (1, 1):
-            raise ValueError("the F x Z embedding has m = n = 1")
+        if self.kind == "phi" and (self.addresses, self.m, self.n) != (("11",), 1, 1):
+            raise ValueError("the F x Z embedding has address 11 and m = n = 1")
         if self.kind == "psi" and len(self.addresses) != self.m + 1:
             raise ValueError("product embedding needs m+1 addresses")
         if self.m < 0 or self.n < 0:

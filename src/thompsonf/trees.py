@@ -15,12 +15,12 @@ Every operation is a pure function; nothing needs synchronization.
 Trees share untouched subtrees, and no walk here recurses more than 64
 levels deep, so Python's recursion limit bounds no element's size.
 Internal construction uses ``_node``, which skips ``Tree``'s check. The
-random sampler's trees share the one- and two-caret subtrees ``_CHERRY``,
-``_CHERRY_LEFT`` and ``_CHERRY_RIGHT``, as all trees share ``LEAF``. A
-product of reduced pairs (leaf_growths, one walk for both factors;
-expand_leaves; reduce_product) costs time in the size of the smaller
-factor plus the root paths it rebuilds, not in the size of the larger
-factor; reduce_pair is linear.
+comb table (``combs``, up to 64 carets) has three users: ``group`` builds
+every x_i^k on a comb pair, each embedding Z level hangs one, and the
+sampler shares the one- and two-caret combs, as all trees share ``LEAF``.
+A product of reduced pairs (leaf_growths, one walk for both factors;
+expand_leaves; reduce_product) costs time in the size of the smaller factor
+plus the root paths it rebuilds, not the larger; reduce_pair is linear.
 
 Text format (bit-exact): ``tree ::= "L" | "(" tree " " tree ")"`` and a
 pair serializes as ``"negtree | postree"``.
@@ -107,9 +107,20 @@ def _node(left: Tree, right: Tree) -> Tree:
     return t
 
 
-# the subtrees of one and two carets; immutable, so any tree may share them
+# combs (R_t, L_t) of t <= 64 carets, each sharing the one before, from R_1 = L_1
 _CHERRY = _node(LEAF, LEAF)
-_CHERRY_LEFT, _CHERRY_RIGHT = _node(_CHERRY, LEAF), _node(LEAF, _CHERRY)
+_COMBS = ((LEAF, LEAF), (_CHERRY, _CHERRY))
+for _ in range(63):
+    _COMBS += ((_node(LEAF, _COMBS[-1][0]), _node(_COMBS[-1][1], LEAF)),)
+_CHERRY_RIGHT, _CHERRY_LEFT = _COMBS[2]
+
+
+def combs(t: int) -> tuple[Tree, Tree]:
+    """(R_t, L_t) for t >= 0: shared up to 64 carets, grown on past that."""
+    right, left = _COMBS[min(t, 64)]
+    for _ in range(t - 64):
+        right, left = _node(LEAF, right), _node(left, LEAF)
+    return right, left
 
 
 def caret(left: Tree, right: Tree) -> Tree:

@@ -77,7 +77,7 @@ def word_inverse(word: Sequence[Letter]) -> Word:
     return tuple(l.inverse for l in reversed(word))
 
 
-_TERM_RE = re.compile(r"x(\d+)(?:\^(-?)(\d+))?")
+_TERM_RE = re.compile(r"x([0-9]+)(?:\^(-?)([0-9]+))?")  # ASCII digits only
 _MAX_LETTERS, _MAX_INDEX = 100_000, 10_000  # longest word, largest index parsed
 # a number with more digits, leading zeros aside, is over both limits; int()
 # never reads one, so it never meets Python's own cap on the digits it converts

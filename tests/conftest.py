@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from thompsonf import (
     LEAF,
     GroupElement,
+    Letter,
     TreePair,
     caret,
     element_of_word,
@@ -64,3 +65,46 @@ def tree_pairs(draw, max_carets=8):
 @st.composite
 def elements(draw, max_carets=8):
     return GroupElement.from_pair(draw(tree_pairs(max_carets)))
+
+
+# --- large elements: long words, and pairs of combs and caterpillars ---
+
+def _up_to(n):
+    """Sizes 0..n, with n itself drawn about half the time: hypothesis
+    favours small integers, and these strategies exist for the large."""
+    return st.integers(0, n) | st.just(n)
+
+
+@st.composite
+def long_words(draw, max_letters=2000, max_index=20):
+    """Words of up to ``max_letters`` letters over x0..x_max_index and
+    inverses; the letters come from a Random that hypothesis seeds."""
+    rng = draw(st.randoms(use_true_random=False))
+    return tuple(Letter(rng.randrange(max_index + 1), rng.choice((1, -1)))
+                 for _ in range(draw(_up_to(max_letters))))
+
+
+@st.composite
+def caterpillars(draw, carets):
+    """Trees of ``carets`` carets that each have a leaf child: the right
+    and left combs, or a drawn side per caret."""
+    kind = draw(st.sampled_from(("right", "left", "mixed")))
+    rng = draw(st.randoms(use_true_random=False))
+    t = LEAF
+    for _ in range(carets):
+        if kind == "left" or (kind == "mixed" and rng.getrandbits(1)):
+            t = caret(t, LEAF)
+        else:
+            t = caret(LEAF, t)
+    return t
+
+
+@st.composite
+def large_elements(draw, max_carets=5000, max_letters=2000):
+    """A reduced pair of two caterpillars of up to ``max_carets`` carets, or
+    the element of a word of up to ``max_letters`` letters."""
+    if draw(st.booleans()):
+        return element_of_word(draw(long_words(max_letters)))
+    carets = draw(_up_to(max_carets))
+    return GroupElement.from_pair(
+        TreePair(draw(caterpillars(carets)), draw(caterpillars(carets))))

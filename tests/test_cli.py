@@ -1,4 +1,6 @@
 import hashlib
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,25 @@ class TestErrors:
         path = tmp_path / "nf.txt"
         assert main(["nf", "x1 x0", "--out", str(path)]) == 0
         assert path.read_text() == "x0 x2\n"
+
+
+def test_readme_examples_print_their_comments(capsys):
+    # the README's command-line lines whose comment is the exact output, or
+    # its suffix after "... "; the other commands' comments describe it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    checked = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("  # ")
+        if command.split()[1:2] not in (["nf"], ["mul"], ["inv"], ["pow"], ["metric"]):
+            continue
+        out = run(capsys, *shlex.split(command)[1:])[1]
+        if comment.startswith("... "):
+            assert out.endswith(comment[4:] + "\n"), line
+        else:
+            assert out == comment + "\n", line
+        checked.append(command.split()[1])
+    assert checked == ["nf", "mul", "inv", "pow", "metric", "metric"]
 
 
 # sha256 of "exit code NUL stdout NUL stderr" per invocation: CLI output is

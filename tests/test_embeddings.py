@@ -404,8 +404,9 @@ class TestDirectConstruction:
         assert sorted(calls) == ["0", "10", "11"]
 
     def test_shared_combs(self):
-        table = embeddings_module._COMBS
+        table = trees_module._COMBS
         assert len(table) == 65 and table[0] == (LEAF, LEAF)
+        assert table[1][0] is table[1][1] is trees_module._CHERRY
         right = left = LEAF
         for t in range(1, len(table)):
             right, left = caret(LEAF, right), caret(left, LEAF)

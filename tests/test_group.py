@@ -1,11 +1,13 @@
+import gc
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 
 from thompsonf import (
     GroupElement,
     NormalForm,
+    Tree,
     TreePair,
     caret,
     LEAF,
@@ -27,7 +29,7 @@ from thompsonf import (
 from thompsonf import group as group_module
 from thompsonf.metric import random_element
 
-from conftest import el, elements
+from conftest import el, elements, large_elements
 
 
 class TestBasicLaws:
@@ -194,3 +196,58 @@ class TestWordRoute:
     def test_str_shows_normal_form(self):
         assert str(el("x1 x0")) == "x0 x2"
         assert str(identity()) == ""
+
+
+class TestOneConstruction:
+    """Every x_i^k is the comb pair of |k| + 1 carets under i right carets."""
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 7, 70])
+    def test_runs_equal_their_normal_form_elements(self, i):
+        # 62..66 straddle the comb table's 64 carets; 100 grows on past it
+        for k in (1, 2, 3, 62, 63, 64, 65, 66, 100):
+            expected = GroupElement.from_normal_form(NormalForm(((i, k),), ()))
+            assert element_of_word((x(i),) * k) == expected
+            assert element_of_word((xinv(i),) * k) == inverse(expected)
+        assert generator(i) == element_of_word((x(i),))
+
+    def test_negative_generator_index_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            generator(-1)
+
+    def test_long_word_keeps_no_generators_alive(self):
+        def live_trees():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is Tree)
+
+        word = tuple(x(i) for i in range(300, 0, -1))
+        before = live_trees()
+        g = element_of_word(word)
+        # the 601-caret result and transients; a cache of x_1..x_300 held 92,399
+        assert live_trees() - before < 2000
+        assert g.normal_form() == rewrite_to_normal_form(word)
+
+
+LARGE = settings(max_examples=5, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                        HealthCheck.too_slow,
+                                        HealthCheck.data_too_large])
+
+
+class TestLargeElements:
+    """Words of up to 2,000 letters and caterpillar pairs of up to 5,000
+    carets, at Python's default recursion limit."""
+
+    @LARGE
+    @given(large_elements(), large_elements(), large_elements())
+    def test_associativity(self, default_recursion_limit, a, b, c):
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+    @LARGE
+    @given(large_elements())
+    def test_inverses(self, default_recursion_limit, g):
+        assert multiply(g, inverse(g)) == identity() == multiply(inverse(g), g)
+
+    @LARGE
+    @given(large_elements())
+    def test_normal_form_round_trip(self, default_recursion_limit, g):
+        assert GroupElement.from_normal_form(g.normal_form()) == g

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from thompsonf import (
     LEAF,
+    EmbeddingSpec,
     GroupElement,
     MetricEstimate,
     TreePair,
@@ -346,6 +347,13 @@ class TestSweep:
         buf3 = io.StringIO()
         sweep_to_csv(distortion_sweep(f_z_spec(), 25, seed=1), buf3)
         assert buf1.getvalue() != buf3.getvalue()
+
+    def test_phi_spec_names_the_address_its_image_uses(self):
+        # embed_f_z always grafts at "11", so a phi spec may name no other
+        assert f_z_spec() == EmbeddingSpec("phi", ("11",), 1, 1)
+        for addresses in [("0",), ("1",), ("11", "0"), ()]:
+            with pytest.raises(ValueError, match="address 11"):
+                EmbeddingSpec("phi", addresses, 1, 1)
 
     def test_psi_addresses_quoted_in_csv(self):
         spec = product_spec(("0", "10", "11"), 0)

@@ -19,6 +19,24 @@ def test_library_checks_survive_optimized_mode():
     assert asserts == []
 
 
+def test_no_functools_caches():
+    # a functools cache is module-level mutable state, which the library keeps
+    # out: its only module-level values are immutable tables
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("lru_cache", "cache")]
+    assert found == []
+
+
 ROOT = SRC.parents[1]
 
 EXPORTS = {

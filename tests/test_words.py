@@ -86,6 +86,16 @@ class TestParsing:
             assert err.value.position == position
             assert built == ([1] if position else [])
 
+    def test_non_ascii_digits_are_parse_errors(self):
+        # the grammar's digits are ASCII: Arabic-Indic one, two and zero
+        # fail where the term starts, not as x1 or as a limit past six zeros
+        for text, position in [("x\u0661", 0), ("x0 x1^\u0662", 3),
+                               ("x2 x" + "\u0660" * 7 + "1", 3)]:
+            with pytest.raises(ParseError) as err:
+                parse_word(text)
+            assert not isinstance(err.value, words_module.WordLimitError)
+            assert err.value.position == position
+
     def test_leading_zeros_do_not_count(self):
         zeros = "0" * 5000
         assert parse_word(f"x{zeros}3^-{zeros}2") == (xinv(3), xinv(3))
