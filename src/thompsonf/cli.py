@@ -21,9 +21,9 @@ from .group import (
     verify_relators,
 )
 from .metric import (
+    EmbeddingSpec,
     WordMetricOracle,
     distortion_sweep,
-    f_z_spec,
     length_bounds,
     product_spec,
     sweep_to_csv,
@@ -106,10 +106,11 @@ def _cmd_embed_psi(args, out):
 
 
 def _cmd_sweep(args, out):
-    if args.embedding == "phi":
-        spec = f_z_spec()
+    if args.embedding == "phi":  # given flags must name the one F x Z spec
+        spec = EmbeddingSpec("phi", tuple(args.addresses or ["11"]), 1,
+                             1 if args.n is None else args.n)
     else:
-        spec = product_spec(args.addresses, args.n)
+        spec = product_spec(args.addresses or [""], args.n or 0)
     samples = distortion_sweep(
         spec, args.samples, seed=args.seed, search_radius=args.radius
     )
@@ -186,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", _cmd_sweep, "distortion sweep CSV")
     p.add_argument("--embedding", choices=("phi", "psi"), default="phi")
-    p.add_argument("--addresses", metavar="LIST", default="", type=_addresses)
-    p.add_argument("--n", type=int, default=0, help="number of integer factors (psi)")
+    p.add_argument("--addresses", metavar="LIST", default=None, type=_addresses)
+    p.add_argument("--n", type=int, default=None, help="number of integer factors (psi)")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--radius", type=int, default=None,

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .embeddings import embed_f_z, embed_product
+from .embeddings import embed_f_z, embed_product, is_prefix_free
 from .group import GroupElement, _element, generator, identity, inverse, multiply
 from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
                     _node, _reduce_hits)
@@ -319,6 +319,8 @@ class EmbeddingSpec:
             raise ValueError("product embedding needs m+1 addresses")
         if self.m < 0 or self.n < 0:
             raise ValueError("m and n must be nonnegative")
+        if self.kind == "psi" and not is_prefix_free(self.addresses):
+            raise ValueError("addresses must be pairwise prefix-free")
 
 
 def f_z_spec() -> EmbeddingSpec:

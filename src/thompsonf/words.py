@@ -22,12 +22,19 @@ term; negative exponents expand to repeated inverse letters.
 
 ``rewrite_to_normal_form`` computes normal forms purely by string
 rewriting and serves as an oracle independent of the tree route used by
-the group module.
+the group module. It applies four rules leftmost-first: free
+cancellation, x_a^-1 x_b -> x_{b+1} x_a^-1 (a < b) or x_b x_{a+1}^-1
+(a > b), x_a x_b -> x_b x_{a+1} (a > b), and x_a^-1 x_b^-1 ->
+x_{b+1}^-1 x_a^-1 (a < b). The rewritten prefix stays sorted, so it is
+kept as two sorted index lists and each next letter moves into place in
+one pass, its moves done as list operations. The step count, which
+``_REWRITE_STEP_CAP`` bounds, is the number of rule applications.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -77,6 +84,7 @@ def word_inverse(word: Sequence[Letter]) -> Word:
     return tuple(l.inverse for l in reversed(word))
 
 
+_TERMS = re.compile(r"[^ ]+")  # only spaces separate terms
 _TERM_RE = re.compile(r"x([0-9]+)(?:\^(-?)([0-9]+))?")  # ASCII digits only
 _MAX_LETTERS, _MAX_INDEX = 100_000, 10_000  # longest word, largest index parsed
 # a number with more digits, leading zeros aside, is over both limits; int()
@@ -92,19 +100,11 @@ def parse_word(text: str) -> Word:
     """Parse the word grammar; raises ParseError with the bad position, or
     WordLimitError for a term over a limit, before the term is expanded."""
     letters: list[Letter] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos] == " ":
-            pos += 1
-            continue
-        start = pos
-        while pos < n and text[pos] != " ":
-            pos += 1
-        token = text[start:pos]
-        m = _TERM_RE.fullmatch(token)
+    for term in _TERMS.finditer(text):
+        start = term.start()
+        m = _TERM_RE.fullmatch(text, start, term.end())
         if m is None:
-            raise ParseError(f"bad term {token!r}", start)
+            raise ParseError(f"bad term {term.group()!r}", start)
         index_digits = m.group(1).lstrip("0") or "0"
         count_digits = (m.group(3) or "1").lstrip("0") or "0"
         if len(index_digits) > _DIGITS or (index := int(index_digits)) > _MAX_INDEX:
@@ -112,8 +112,7 @@ def parse_word(text: str) -> Word:
         if (len(count_digits) > _DIGITS
                 or len(letters) + (count := int(count_digits)) > _MAX_LETTERS):
             raise WordLimitError(f"word over _MAX_LETTERS = {_MAX_LETTERS}", start)
-        sign = -1 if m.group(2) else 1
-        letters.extend(Letter(index, sign) for _ in range(count))
+        letters += [Letter(index, -1 if m.group(2) else 1)] * count
     return tuple(letters)
 
 
@@ -239,8 +238,8 @@ class RewriteLimitError(ValueError):
     """A word needs more rewriting steps than ``_REWRITE_STEP_CAP``."""
 
 
-def _semi_normalize(letters: list[Letter]) -> None:
-    """Push positive letters left and sort both parts, in place.
+def _semi_normalize(word: Sequence[Letter]) -> tuple[list[int], list[int], int]:
+    """Semi-normal form of a word and the number of rule steps to reach it.
 
     Rules, applied leftmost-first until none fires:
       * free cancellation of adjacent x_k^e x_k^-e;
@@ -248,32 +247,46 @@ def _semi_normalize(letters: list[Letter]) -> None:
       * x_a x_b -> x_b x_{a+1} for positive letters with a > b;
       * x_a^-1 x_b^-1 -> x_{b+1}^-1 x_a^-1 for a < b.
 
-    Terminates: each rule drops the word length, then the count of
-    negative-before-positive pairs, then a lexicographic index measure.
+    Leftmost-first keeps the prefix before the next letter semi-normal, so
+    the prefix is kept sorted as two index lists: ``pos`` (positive letters,
+    in word order) and ``neg`` (negative letters, in reverse word order).
+    A new letter x_b^e walks left past the negatives below it, rising by
+    one at each. A negative letter then stops; a positive one cancels the
+    negative of its index if there is one, or else raises every negative
+    left of it and every larger positive by one and settles among the
+    positives. Last, x_a x_a^-1 pairs cancel where the two parts meet.
+
+    Each letter costs one pass, with the moves done as list operations;
+    the step count is the number of rule applications the moves stand
+    for, and ``_REWRITE_STEP_CAP`` is checked after each letter.
     """
+    pos: list[int] = []
+    neg: list[int] = []
     steps = 0
-    i = 0
-    while i < len(letters) - 1:
-        a, b = letters[i], letters[i + 1]
-        if a.index == b.index and a.sign == -b.sign:
-            del letters[i:i + 2]
-        elif a.sign == -1 and b.sign == 1:
-            if a.index < b.index:
-                letters[i:i + 2] = [Letter(b.index + 1, 1), a]
-            else:
-                letters[i:i + 2] = [Letter(b.index, 1), Letter(a.index + 1, -1)]
-        elif a.sign == 1 and b.sign == 1 and a.index > b.index:
-            letters[i:i + 2] = [b, Letter(a.index + 1, 1)]
-        elif a.sign == -1 and b.sign == -1 and a.index < b.index:
-            letters[i:i + 2] = [Letter(b.index + 1, -1), a]
+    for letter in word:
+        b, k, n = letter.index, 0, len(neg)
+        while k < n and neg[k] < b:
+            k += 1
+            b += 1
+        if letter.sign < 0:
+            neg.insert(k, b)
+            steps += k
+        elif k < n and neg[k] == b:
+            del neg[k]
+            steps += k + 1
         else:
-            i += 1
-            continue
-        i = max(i - 1, 0)
-        steps += 1
+            neg[k:] = [j + 1 for j in neg[k:]]
+            i = bisect_right(pos, b)
+            steps += n + len(pos) - i
+            pos[i:] = [b] + [j + 1 for j in pos[i:]]
+        while pos and neg and pos[-1] == neg[-1]:
+            pos.pop()
+            neg.pop()
+            steps += 1
         if steps > _REWRITE_STEP_CAP:
             raise RewriteLimitError(f"rewriting needs more than "
                                     f"_REWRITE_STEP_CAP = {_REWRITE_STEP_CAP} steps")
+    return pos, neg, steps
 
 
 def _blocks(indices: Sequence[int]) -> list[list[int]]:
@@ -312,11 +325,8 @@ def rewrite_to_normal_form(word: Sequence[Letter]) -> NormalForm:
     removed and every index beyond i+1 shifts down by one. Each such move
     shortens the word, so the loop terminates.
     """
-    letters = list(word)
-    _semi_normalize(letters)
-    split = next((k for k, l in enumerate(letters) if l.sign < 0), len(letters))
-    pos = _blocks([l.index for l in letters[:split]])
-    neg = _blocks([l.index for l in reversed(letters[split:])])
+    pos_indices, neg_indices, _ = _semi_normalize(word)
+    pos, neg = _blocks(pos_indices), _blocks(neg_indices)
     while True:
         pos_idx = {i for i, _ in pos}
         neg_idx = {j for j, _ in neg}

@@ -128,6 +128,23 @@ class TestEmbeddingCommands:
         main(["sweep", "--samples", "10", "--seed", "4", "--out", str(path2)])
         assert path1.read_bytes() != path2.read_bytes()
 
+    def test_sweep_phi_rejects_addresses_and_n_it_cannot_honour(self, capsys):
+        for flags in [("--addresses", "0", "--n", "3"), ("--addresses", "0"),
+                      ("--n", "3"), ("--addresses", "")]:
+            code, out, err = run(capsys, "sweep", "--embedding", "phi", *flags,
+                                 "--samples", "2")
+            assert (code, out) == (1, ""), flags
+            assert err == "error: the F x Z embedding has address 11 and m = n = 1\n"
+        assert run(capsys, "sweep", "--embedding", "phi", "--addresses", "11",
+                   "--n", "1", "--samples", "2") == run(capsys, "sweep", "--samples", "2")
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_sweep_psi_rejects_addresses_that_are_not_prefix_free(self, capsys, samples):
+        code, out, err = run(capsys, "sweep", "--embedding", "psi", "--addresses", "0,01",
+                             "--samples", samples)
+        assert (code, out) == (1, "")
+        assert err == "error: addresses must be pairwise prefix-free\n"
+
     def test_sweep_psi_to_stdout(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--embedding", "psi", "--addresses", "0,10,11",

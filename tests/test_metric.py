@@ -355,6 +355,13 @@ class TestSweep:
             with pytest.raises(ValueError, match="address 11"):
                 EmbeddingSpec("phi", addresses, 1, 1)
 
+    def test_psi_spec_rejects_addresses_that_are_not_prefix_free(self):
+        # checked when the spec is made, so a sweep of no samples rejects it too
+        for addresses in [("0", "01"), ("", "1"), ("1", "10", "11")]:
+            with pytest.raises(ValueError, match="pairwise prefix-free"):
+                product_spec(addresses, 1)
+        assert product_spec(("0", "10", "11"), 1).addresses == ("0", "10", "11")
+
     def test_psi_addresses_quoted_in_csv(self):
         spec = product_spec(("0", "10", "11"), 0)
         buf = io.StringIO()

@@ -37,6 +37,38 @@ def test_no_functools_caches():
     assert found == []
 
 
+def _top_level_names(path):
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def _names_used(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names_used(const)
+    return names
+
+
+def test_rewriting_oracle_is_independent_of_the_tree_route():
+    # rewrite_to_normal_form cross-checks the tree route, so the rewriting
+    # code may name nothing that the trees or group modules define
+    words = importlib.import_module("thompsonf.words")
+    tree_route = {"trees", "group"}
+    for module in ("trees", "group"):
+        tree_route |= _top_level_names(SRC / f"{module}.py")
+    assert {"TreePair", "leaf_exponents", "multiply", "element_of_word"} <= tree_route
+    for name in ("_semi_normalize", "_blocks", "_drop_one_and_shift",
+                 "rewrite_to_normal_form"):
+        assert _names_used(getattr(words, name).__code__) & tree_route == set(), name
+
+
 ROOT = SRC.parents[1]
 
 EXPORTS = {

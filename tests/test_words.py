@@ -30,7 +30,7 @@ from thompsonf import group as group_module
 from thompsonf import words as words_module
 from thompsonf.metric import random_element
 
-from conftest import el, elements, tree_pairs
+from conftest import el, elements, long_words, tree_pairs
 
 
 @st.composite
@@ -101,6 +101,43 @@ class TestParsing:
         assert parse_word(f"x{zeros}3^-{zeros}2") == (xinv(3), xinv(3))
         assert parse_word(f"x{zeros}^{zeros}") == ()
 
+    def test_spaces_around_and_between_terms_are_skipped(self):
+        assert parse_word("  x0  x1^-1   x2 ") == (x(0), xinv(1), x(2))
+        assert parse_word(" ") == parse_word("   ") == ()
+
+    def test_only_spaces_separate_terms(self):
+        # a tab or a newline is part of a term, which is then a bad term
+        for text, message in [("x0\tx1", "bad term 'x0\\tx1' (position 0)"),
+                              ("x0 x1\nx2", "bad term 'x1\\nx2' (position 3)"),
+                              ("x0 \n", "bad term '\\n' (position 3)")]:
+            with pytest.raises(ParseError) as err:
+                parse_word(text)
+            assert type(err.value) is ParseError
+            assert str(err.value) == message
+
+    def test_signed_count_with_leading_zeros(self):
+        assert parse_word("x0^-00003") == (xinv(0),) * 3
+
+    def test_limit_errors_name_the_term_that_crosses_them(self):
+        most = words_module._MAX_LETTERS
+        cases = [(f"x{words_module._MAX_INDEX + 1}",
+                  "index above _MAX_INDEX = 10000 (position 0)"),
+                 (f"x3 x{words_module._MAX_INDEX + 1}^2",
+                  "index above _MAX_INDEX = 10000 (position 3)"),
+                 (f"x0^{most - 1} x1^2", "word over _MAX_LETTERS = 100000 (position 9)"),
+                 (f"x0^{most - 1}  x1^-1  x2",
+                  "word over _MAX_LETTERS = 100000 (position 17)")]
+        for text, message in cases:
+            with pytest.raises(words_module.WordLimitError) as err:
+                parse_word(text)
+            assert str(err.value) == message
+        assert len(parse_word(f"x0^{most - 1} x1^-1")) == most
+
+    def test_a_power_repeats_one_letter(self):
+        word = parse_word("x2^5")
+        assert word == (x(2),) * 5
+        assert len(set(map(id, word))) == 1
+
     def test_format_groups_runs(self):
         word = (x(0), x(0), x(0), xinv(3), xinv(2))
         assert format_word(word) == "x0^3 x3^-1 x2^-1"
@@ -139,6 +176,48 @@ class TestNormalFormType:
         assert nf.shift(2) == NormalForm(((2, 2),), ((3, 1),))
 
 
+def reference_semi_normalize(word):
+    """Leftmost-first rewriting one rule at a time, on Letter values: the
+    semi-normal word and the number of rules applied to reach it."""
+    letters = list(word)
+    steps = 0
+    i = 0
+    while i < len(letters) - 1:
+        a, b = letters[i], letters[i + 1]
+        if a.index == b.index and a.sign == -b.sign:
+            del letters[i:i + 2]
+        elif a.sign == -1 and b.sign == 1:
+            if a.index < b.index:
+                letters[i:i + 2] = [x(b.index + 1), a]
+            else:
+                letters[i:i + 2] = [x(b.index), xinv(a.index + 1)]
+        elif a.sign == 1 and b.sign == 1 and a.index > b.index:
+            letters[i:i + 2] = [b, x(a.index + 1)]
+        elif a.sign == -1 and b.sign == -1 and a.index < b.index:
+            letters[i:i + 2] = [xinv(b.index + 1), a]
+        else:
+            i += 1
+            continue
+        i = max(i - 1, 0)
+        steps += 1
+    return tuple(letters), steps
+
+
+def semi_normalize(word):
+    """The library's semi-normal form, spelled as a word, and its step count."""
+    pos, neg, steps = words_module._semi_normalize(word)
+    return tuple(map(x, pos)) + tuple(map(xinv, reversed(neg))), steps
+
+
+def assert_rewriters_agree(word):
+    expected, steps = reference_semi_normalize(word)
+    if steps > words_module._REWRITE_STEP_CAP:
+        with pytest.raises(words_module.RewriteLimitError):
+            words_module._semi_normalize(word)
+    else:
+        assert semi_normalize(word) == (expected, steps)
+
+
 class TestRewritingOracle:
     def test_defining_relation(self):
         assert rewrite_to_normal_form((xinv(0), x(1), x(0))) == NormalForm(((2, 1),), ())
@@ -172,6 +251,27 @@ class TestRewritingOracle:
         assert isinstance(info.value, words_module.RewriteLimitError)
         monkeypatch.undo()
         assert rewrite_to_normal_form(word) == expected
+
+    def test_semi_normal_form_and_steps_match_the_reference(self):
+        rng = random.Random(17)
+        for _ in range(1000):
+            assert_rewriters_agree(tuple(
+                (x if rng.random() < 0.5 else xinv)(rng.randint(0, 40))
+                for _ in range(rng.randint(0, 80))))
+
+    @given(long_words(max_letters=300))
+    def test_long_words_match_the_reference(self, word):
+        assert_rewriters_agree(word)
+
+    def test_step_cap_bounds_the_rules_applied(self):
+        # x0^-k x1^k takes k^2 steps: each x1 passes all k of the x0^-1
+        cap = words_module._REWRITE_STEP_CAP
+        word = (xinv(0),) * 447 + (x(1),) * 447
+        assert 447 ** 2 <= cap < 448 ** 2
+        assert semi_normalize(word)[1] == 447 ** 2
+        assert rewrite_to_normal_form(word) == element_of_word(word).normal_form()
+        with pytest.raises(words_module.RewriteLimitError, match="_REWRITE_STEP_CAP"):
+            rewrite_to_normal_form((xinv(0),) * 448 + (x(1),) * 448)
 
     def test_unsorted_block_input_raises_value_error(self):
         assert words_module._blocks([1, 1, 2]) == [[1, 2], [2, 1]]
