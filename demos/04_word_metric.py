@@ -1,9 +1,13 @@
-"""The word metric: exact lengths by search, caret-count bounds.
+"""The word metric: sphere sizes by caret weights, exact lengths by
+search, caret-count bounds.
 
 The caret count N(g) of the reduced pair brackets the word length of a
-non-identity element: N - 2 <= |g| <= 4N - 4. The oracle computes exact
-lengths by breadth-first search over the Cayley graph on x0, x1 and
-their inverses, which is feasible out to radius 9 at desk scale.
+non-identity element: N - 2 <= |g| <= 4N - 4. The oracle counts sphere
+sizes from Fordham's caret weights without building an element, and
+computes exact lengths by breadth-first search over the Cayley graph on
+x0, x1 and their inverses, which is feasible out to radius 9 at desk
+scale. The time printed under the table is the count's; the first
+exact length grows the ball.
 """
 
 import time

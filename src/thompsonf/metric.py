@@ -2,13 +2,21 @@
 distortion measurement harness.
 
 The caret count N(g) of the reduced pair pins the word length of any
-non-identity element between N(g) - 2 and 4 N(g) - 4. Exact lengths come
-from breadth-first search over the Cayley graph on x0, x1 and inverses,
-with canonical reduced pairs as hash keys; the search radius is capped
-(default 9) to keep runs at desk scale. The search is forward-only: it
-never multiplies an element back along the edge it was reached by, so
+non-identity element between N(g) - 2 and 4 N(g) - 4. Exact lengths and
+balls come from breadth-first search over the Cayley graph on x0, x1 and
+inverses, with canonical reduced pairs as hash keys; the search radius is
+capped (default 9) to keep runs at desk scale. The search is forward-only:
+it never multiplies an element back along the edge it was reached by, so
 it costs one product per edge between consecutive spheres (33,228 to
 radius 9 for 31,589 elements).
+
+Sphere sizes on x0, x1 are counted instead, without building an element:
+a dynamic program over reduced tree pairs sums caret weights, in the manner
+of M. Elder, É. Fusy and A. Rechnitzer, "Counting elements and geodesics in
+Thompson's group F", J. Algebra 324 (2010). The weights are B. Fordham's,
+"Minimal length elements of Thompson's group F", Geom. Dedicata 99 (2003);
+``word_length`` reads |g| off a pair with the same table. The search stays
+their independent check.
 
 The random sampler draws exactly what the plain recursive definition
 draws from the seed. It builds trees without recursion, sharing their
@@ -37,6 +45,7 @@ from __future__ import annotations
 import csv
 import random
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -77,6 +86,150 @@ class MetricEstimate:
                 raise ValueError("exact length escapes the caret-count bracket")
 
 
+# --- Fordham's caret weights ----------------------------------------------
+
+# Caret types. Number a tree's carets 0..N-1 in infix order. L0 is caret 0
+# and LL any other caret on the left arm: the root and its chain of left
+# children. The right arm is the root's right child and its chain of right
+# children; on it R0 is the caret whose right child is a leaf, RI one whose
+# next caret is interior (on neither arm), and RNI any other. An interior
+# caret is I0 when its right child is a leaf and IR when it is a caret.
+_L0, _LL, _R0, _RNI, _RI, _I0, _IR = range(7)
+
+# |g| is the sum over k of the weight of caret k of the negative tree paired
+# with caret k of the positive tree. None marks the 8 pairs no reduced pair
+# has: the last caret is R0 or the root, and R0 is always the last.
+_WEIGHTS = (
+    # L0   LL    R0    RNI   RI    I0    IR
+    (0,    None, None, None, None, None, None),  # L0
+    (None, 2,    1,    1,    1,    2,    2),     # LL
+    (None, 1,    0,    None, None, None, None),  # R0
+    (None, 1,    None, 2,    2,    1,    3),     # RNI
+    (None, 1,    None, 2,    2,    3,    3),     # RI
+    (None, 2,    None, 1,    3,    2,    4),     # I0
+    (None, 2,    None, 3,    3,    4,    4),     # IR
+)
+
+_LEFT_ARM, _RIGHT_ARM, _INTERIOR = range(3)
+
+
+def _caret_types(t: Tree) -> list[int]:
+    """The type of each caret of t in infix order, found by position: trees
+    share subtrees, so one object may stand at two positions."""
+    types: list[int] = []
+    above: list[tuple[Tree, int]] = []  # carets whose left subtree is being read
+    node, region = t, _LEFT_ARM
+    while True:
+        while node.left is not None:
+            above.append((node, region))
+            node = node.left
+            if region != _LEFT_ARM:
+                region = _INTERIOR
+        if not above:
+            return types
+        node, region = above.pop()
+        right = node.right
+        if region == _LEFT_ARM:
+            types.append(_LL if types else _L0)
+            region = _INTERIOR if above else _RIGHT_ARM  # the root is read last of the arm
+        elif region == _RIGHT_ARM:
+            types.append(_R0 if right.left is None else
+                         _RNI if right.left.left is None else _RI)
+        else:
+            types.append(_I0 if right.left is None else _IR)
+        node = right
+
+
+def word_length(g: GroupElement) -> int:
+    """|g| on the generators x0, x1: Fordham's caret weights summed over the
+    reduced pair, in time linear in the caret count."""
+    return sum(_WEIGHTS[a][b] for a, b in
+               zip(_caret_types(g.pair.neg), _caret_types(g.pair.pos)))
+
+
+def _count_spheres(radius: int) -> list[int]:
+    """Element counts at each word length 0..radius on x0, x1, counted over
+    reduced tree pairs by caret weight without building any element.
+
+    Both trees are read in infix order, one caret of each per step. After a
+    caret whose right child is a caret, the reading descends the left chain
+    of that child and visits its bottom caret, while the carets above it
+    wait; after a caret whose right child is a leaf, the next caret is the
+    last one waiting. A tree's state is (where its current caret lies, the
+    carets waiting, whether the current caret's left child is a leaf), and a
+    move fixes the current caret's type. A step whose two carets each sit
+    over two leaves is dropped, so every pair counted is reduced. A state
+    whose waiting carets alone would pass the radius is pruned: every caret
+    but the last weighs at least 1.
+    """
+    # where the current caret lies: caret 0, the rest of the left arm, the
+    # right arm, or interior before or after the root. On the left arm no
+    # caret waits: each one there chooses whether it is the root.
+    def moves(where, waiting, leaf):
+        """(type, right child is a leaf, next state or None at the end)."""
+        if where in ("L0", "LL"):
+            kind = _L0 if where == "L0" else _LL
+            return ((kind, True, ("LL", 0, False)),          # not the root
+                    (kind, False, ("before", 1, True)),
+                    (kind, True, None),                      # the root
+                    (kind, False, ("right", 0, True)),
+                    (kind, False, ("after", 1, True)))
+        if where == "right":
+            return ((_R0, True, None),
+                    (_RNI, False, ("right", 0, True)),
+                    (_RI, False, ("after", 1, True)))
+        up = ((where, waiting - 1, False) if waiting > 1 else
+              ("LL" if where == "before" else "right", 0, False))
+        return ((_I0, True, up), (_IR, False, (where, waiting, True)))
+
+    states = [("L0", 0, True), ("LL", 0, False), ("right", 0, True), ("right", 0, False)]
+    states += [(where, waiting, leaf) for where in ("before", "after")
+               for waiting in range(1, radius + 1) for leaf in (True, False)]
+    table = {state: moves(*state) for state in states}
+
+    sizes = [1] + [0] * radius  # the identity: the pair of empty trees
+    start = states[0]
+    counts = {(start, start, 0): 1}  # (neg state, pos state, weight) -> pairs
+    while counts:
+        nxt: defaultdict[tuple, int] = defaultdict(int)
+        for (neg, pos, weight), count in counts.items():
+            pos_moves = table[pos]
+            for neg_type, neg_right_leaf, neg_next in table[neg]:
+                row = _WEIGHTS[neg_type]
+                neg_cherry = neg[2] and neg_right_leaf
+                for pos_type, pos_right_leaf, pos_next in pos_moves:
+                    w = row[pos_type]
+                    if w is None or (neg_cherry and pos[2] and pos_right_leaf):
+                        continue
+                    w += weight
+                    if neg_next is None or pos_next is None:
+                        if neg_next is pos_next and w <= radius:
+                            sizes[w] += count
+                    elif w + max(neg_next[1], pos_next[1]) <= radius:
+                        nxt[neg_next, pos_next, w] += count
+        # A descent may go one caret deeper, any number of times: its bottom
+        # caret then waits too. One tree at a time, fewest waiting first, so
+        # each count is complete before it is carried deeper.
+        for side in (0, 1):
+            by_waiting: list[list[tuple]] = [[] for _ in range(radius + 1)]
+            for key in nxt:
+                where, waiting, leaf = key[side]
+                if leaf and where in ("before", "after"):
+                    by_waiting[waiting].append(key)
+            for keys in by_waiting:
+                for key in keys:
+                    where, waiting, _ = key[side]
+                    deeper = (where, waiting + 1, True)
+                    pushed = (deeper, key[1], key[2]) if side == 0 else (key[0], deeper, key[2])
+                    if key[2] + max(pushed[0][1], pushed[1][1]) > radius:
+                        continue
+                    if pushed not in nxt:
+                        by_waiting[waiting + 1].append(pushed)
+                    nxt[pushed] += nxt[key]
+        counts = nxt
+    return sizes
+
+
 class LevelStats(NamedTuple):
     """Work done growing one sphere: products made, new elements found and
     products that hit an element already on the new sphere or an older one."""
@@ -103,8 +256,14 @@ class WordMetricOracle:
     bipartite, as that of x0, x1 is, growing sphere d costs one product
     per edge from sphere d - 1 to sphere d.
 
-    A lock serialises growth, so one oracle may be shared across threads;
-    a lookup of an element already found takes no lock.
+    Sphere sizes on the standard generators x0, x1 and inverses, in any
+    order, are not searched for: they are counted from Fordham's caret
+    weights, once up to the cap on the first call (see ``_count_spheres``).
+    Balls, lengths and level stats, and the sizes on any other generating
+    set, come from the search.
+
+    A lock serialises growth and the count, so one oracle may be shared
+    across threads; a lookup of an element already found takes no lock.
     """
 
     def __init__(self, cap: int = DEFAULT_RADIUS_CAP,
@@ -112,10 +271,11 @@ class WordMetricOracle:
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         self.cap = cap
-        if generators is None:
-            x0, x1 = generator(0), generator(1)
-            generators = (x0, inverse(x0), x1, inverse(x1))
-        gens = tuple(generators)
+        x0, x1 = generator(0), generator(1)
+        standard = (x0, inverse(x0), x1, inverse(x1))
+        gens = standard if generators is None else tuple(generators)
+        self._counted = set(gens) == set(standard)
+        self._counts: list[int] | None = None  # sphere sizes to the cap, once counted
         # (bit of h, h, bits of the generators equal to h^-1) per index
         self._steps = tuple(
             (1 << j, h, sum(1 << i for i, k in enumerate(gens) if k == inverse(h)))
@@ -167,9 +327,15 @@ class WordMetricOracle:
 
     def sphere_sizes(self, radius: int) -> list[int]:
         """Element counts at each exact length 0..radius."""
-        self._grow_to(radius)
+        if not self._counted:
+            self._grow_to(radius)
+            with self._lock:
+                return self._sizes[:radius + 1]
+        self._check_radius(radius)
         with self._lock:
-            return self._sizes[:radius + 1]
+            if self._counts is None:
+                self._counts = _count_spheres(self.cap)
+            return self._counts[:radius + 1]
 
     def level_stats(self, radius: int) -> list[LevelStats]:
         """The work of growing spheres 1..radius, one entry per sphere."""

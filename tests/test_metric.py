@@ -5,7 +5,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from thompsonf import (
@@ -24,12 +24,14 @@ from thompsonf import (
     embed_f_z,
     envelope_fit,
     f_z_spec,
+    format_pair,
     generator,
     identity,
     inverse,
     length_bounds,
     metric_estimate,
     multiply,
+    parse_pair,
     power,
     product_spec,
     shift,
@@ -37,13 +39,25 @@ from thompsonf import (
 )
 from thompsonf import group as group_module
 from thompsonf import metric as metric_module
-from thompsonf.metric import _randbelow, random_element, random_tree
+from thompsonf.metric import _randbelow, random_element, random_tree, word_length
 
-from conftest import el
+from conftest import el, large_elements
 
 # frozen oracle regression: ball sizes at radius 0..5
 BALL_SIZES = [1, 5, 17, 53, 161, 475]
 SPHERES_TO_8 = [1, 4, 12, 36, 108, 314, 906, 2576, 7280]
+SPHERES_TO_11 = SPHERES_TO_8 + [20352, 56664, 156570]
+
+
+def generating_set(name):
+    x0, x1 = generator(0), generator(1)
+    x01 = multiply(x0, x1)
+    return {
+        "default": (x0, inverse(x0), x1, inverse(x1)),
+        "reordered": (inverse(x1), x1, inverse(x0), x0),
+        "no inverses": (x0, x1),
+        "non-bipartite": (x0, inverse(x0), x1, inverse(x1), x01, inverse(x01)),
+    }[name]
 
 
 def reference_ball(generators, radius):
@@ -151,14 +165,7 @@ class TestForwardOnlySearch:
         ("default", 7), ("reordered", 7), ("no inverses", 7), ("non-bipartite", 5),
     ])
     def test_matches_reference_search_in_order(self, name, radius):
-        x0, x1 = generator(0), generator(1)
-        x01 = multiply(x0, x1)
-        generators = {
-            "default": (x0, inverse(x0), x1, inverse(x1)),
-            "reordered": (inverse(x1), x1, inverse(x0), x0),
-            "no inverses": (x0, x1),
-            "non-bipartite": (x0, inverse(x0), x1, inverse(x1), x01, inverse(x01)),
-        }[name]
+        generators = generating_set(name)
         ball = WordMetricOracle(generators=generators).ball(radius)
         assert list(ball.items()) == list(reference_ball(generators, radius).items())
 
@@ -171,20 +178,26 @@ class TestForwardOnlySearch:
 
         monkeypatch.setattr(metric_module, "multiply", counting)
         oracle = WordMetricOracle()
-        assert oracle.sphere_sizes(8) == SPHERES_TO_8
-        assert len(calls) == 11_720
         stats = oracle.level_stats(8)
+        assert len(calls) == 11_720
         assert sum(s.products for s in stats) == 11_720
         assert [s.new for s in stats] == SPHERES_TO_8[1:]
         assert all(s.products == s.new + s.duplicates for s in stats)
+        assert oracle.sphere_sizes(8) == SPHERES_TO_8
 
-    def test_shared_across_threads(self):
+    @pytest.mark.parametrize("query", ["ball", "sphere_sizes"])
+    def test_shared_across_threads(self, query):
+        # the ball grows under the search's lock, the sizes are counted under it
         oracle, results = WordMetricOracle(), []
         start = threading.Barrier(8)
 
         def grow():
             start.wait(timeout=60)
-            results.append(oracle.sphere_sizes(8))
+            if query == "ball":
+                lengths = list(oracle.ball(8).values())
+                results.append([lengths.count(r) for r in range(9)])
+            else:
+                results.append(oracle.sphere_sizes(8))
 
         threads = [threading.Thread(target=grow) for _ in range(8)]
         interval = sys.getswitchinterval()
@@ -198,7 +211,93 @@ class TestForwardOnlySearch:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [SPHERES_TO_8] * 8
-        assert len(oracle._lengths) == 11_237
+        assert len(oracle._lengths) == (11_237 if query == "ball" else 1)
+
+
+@pytest.fixture(scope="module")
+def oracle10():
+    """A radius-10 oracle, its ball grown: 88,253 elements."""
+    oracle = WordMetricOracle(cap=10)
+    oracle.ball(10)
+    return oracle
+
+
+LARGE = settings(max_examples=5, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                        HealthCheck.too_slow,
+                                        HealthCheck.data_too_large])
+
+
+class TestWordLength:
+    def test_equals_the_search_on_the_radius_10_ball(self, oracle10):
+        ball = oracle10.ball(10)
+        assert len(ball) == 88_253
+        assert [g for g, length in ball.items() if word_length(g) != length] == []
+        # the ball pairs caret types in every cell the table gives a weight
+        types = metric_module._caret_types
+        used = {cell for g in ball for cell in zip(types(g.pair.neg), types(g.pair.pos))}
+        weighted = {(a, b) for a, row in enumerate(metric_module._WEIGHTS)
+                    for b, w in enumerate(row) if w is not None}
+        assert used == weighted and len(weighted) == 29
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 99, 1000])
+    def test_closed_forms(self, k):
+        x0, x1 = generator(0), generator(1)
+        assert word_length(generator(k)) == 2 * k - 1
+        for g in (x0, x1, inverse(x0), inverse(x1)):
+            assert word_length(power(g, k)) == k
+        assert word_length(power(multiply(x0, inverse(x1)), k)) == 2 * k
+
+    @LARGE
+    @given(large_elements())
+    def test_large_elements(self, default_recursion_limit, g):
+        length = word_length(g)
+        assert word_length(inverse(g)) == length
+        x0, x1 = generator(0), generator(1)
+        for s in (x0, inverse(x0), x1, inverse(x1)):
+            assert abs(word_length(multiply(g, s)) - length) == 1
+        if not g.is_identity:
+            lower, upper = length_bounds(g)
+            assert lower <= length <= upper
+
+    def test_sampler_trees_are_read_by_position(self):
+        # the sampler's trees share the cherry and the two-caret combs between
+        # positions; the parsed copy shares nothing but leaves
+        rng = random.Random(5)
+        for _ in range(300):
+            g = random_element(rng, 40)
+            rebuilt = GroupElement.from_pair(parse_pair(format_pair(g.pair)))
+            assert rebuilt == g
+            assert word_length(g) == word_length(rebuilt)
+
+
+class TestSphereCount:
+    def test_equals_the_search_to_radius_10(self, oracle10):
+        balls = [len(oracle10.ball(r)) for r in range(11)]
+        spheres = [balls[0]] + [b - a for a, b in zip(balls, balls[1:])]
+        assert oracle10.sphere_sizes(10) == spheres == SPHERES_TO_11[:11]
+
+    def test_radius_11(self):
+        assert metric_module._count_spheres(11) == SPHERES_TO_11
+
+    def test_standard_generators_make_no_products(self, monkeypatch):
+        def refuse(a, b):
+            raise RuntimeError("sphere sizes were searched for")
+
+        monkeypatch.setattr(metric_module, "multiply", refuse)
+        for name in ("default", "reordered"):
+            oracle = WordMetricOracle(generators=generating_set(name))
+            assert oracle.sphere_sizes(9) == SPHERES_TO_11[:10]
+            assert oracle.sphere_sizes(4) == SPHERES_TO_8[:5]
+        with pytest.raises(ValueError, match="radius 10 exceeds the oracle cap 9"):
+            oracle.sphere_sizes(10)
+
+    @pytest.mark.parametrize("name, radius", [("no inverses", 7), ("non-bipartite", 5)])
+    def test_other_generating_sets_are_searched(self, name, radius):
+        generators = generating_set(name)
+        lengths = list(reference_ball(generators, radius).values())
+        sizes = WordMetricOracle(generators=generators).sphere_sizes(radius)
+        assert sizes == [lengths.count(r) for r in range(radius + 1)]
 
 
 class TestBoundsOnBall:

@@ -69,6 +69,17 @@ def test_rewriting_oracle_is_independent_of_the_tree_route():
         assert _names_used(getattr(words, name).__code__) & tree_route == set(), name
 
 
+def test_sphere_count_is_independent_of_the_search():
+    # the caret-weight count and word_length are checked against the
+    # breadth-first search, so they may name nothing the group module
+    # defines, nor the search's growth or its products
+    metric = importlib.import_module("thompsonf.metric")
+    search = _top_level_names(SRC / "group.py") | {"_grow_to", "multiply"}
+    assert {"multiply", "inverse", "GroupElement"} <= search
+    for name in ("_count_spheres", "word_length", "_caret_types"):
+        assert _names_used(getattr(metric, name).__code__) & search == set(), name
+
+
 ROOT = SRC.parents[1]
 
 EXPORTS = {
