@@ -3,9 +3,9 @@
 The package provides the combinatorial model of the group: trees and
 reduced tree pairs, the unique normal form over the infinite generating
 set and its bijection with reduced pairs, group operations through
-common refinement, caret-count metric estimates with an exact
-breadth-first word-metric oracle, shift and clone maps, embeddings of
-F x Z and F^m x Z^n, and a distortion measurement harness.
+common refinement, caret-count metric estimates, exact word lengths from
+caret weights with a breadth-first oracle as their check, shift and clone
+maps, embeddings of F x Z and F^m x Z^n, and a distortion measurement harness.
 
 Values are immutable and the functions on them pure, so they may be
 shared across threads. The only module-level values are immutable tables,

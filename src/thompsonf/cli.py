@@ -23,8 +23,9 @@ from .group import (
 from .metric import (
     EmbeddingSpec,
     WordMetricOracle,
+    _check_radius,
     distortion_sweep,
-    length_bounds,
+    metric_estimate,
     product_spec,
     sweep_to_csv,
 )
@@ -69,11 +70,11 @@ def _cmd_pow(args, out):
 
 def _cmd_metric(args, out):
     g = power(_element(args.word), args.pow)
-    lower, upper = length_bounds(g)
-    line = f"N={g.caret_count} bounds=({lower}, {upper})"
+    est = metric_estimate(g, search_radius=args.radius)
+    line = f"N={est.caret_count} bounds=({est.lower}, {est.upper})"
     if args.radius is not None:
-        exact = WordMetricOracle().exact_length(g, args.radius)
-        line += f" exact={exact if exact is not None else 'unknown'}"
+        _check_radius(args.radius)  # metric_estimate leaves the identity's unchecked
+        line += f" exact={est.exact if est.exact is not None else 'unknown'}"
     print(line, file=out)
     return 0
 

@@ -1,22 +1,18 @@
-"""Caret-count metric estimates, an exact word-metric oracle, and the
-distortion measurement harness.
+"""Caret-count metric estimates, exact word lengths, a breadth-first
+word-metric oracle, and the distortion measurement harness.
 
 The caret count N(g) of the reduced pair pins the word length of any
-non-identity element between N(g) - 2 and 4 N(g) - 4. Exact lengths and
-balls come from breadth-first search over the Cayley graph on x0, x1 and
-inverses, with canonical reduced pairs as hash keys; the search radius is
-capped (default 9) to keep runs at desk scale. The search is forward-only:
-it never multiplies an element back along the edge it was reached by, so
-it costs one product per edge between consecutive spheres (33,228 to
-radius 9 for 31,589 elements).
+non-identity element between N(g) - 2 and 4 N(g) - 4. ``word_length``
+reads |g| on x0, x1 off the pair with B. Fordham's caret weights, "Minimal
+length elements of Thompson's group F", Geom. Dedicata 99 (2003). Sphere
+sizes are counted from the same table without building an element, in the
+manner of M. Elder, É. Fusy and A. Rechnitzer, "Counting elements and
+geodesics in Thompson's group F", J. Algebra 324 (2010).
 
-Sphere sizes on x0, x1 are counted instead, without building an element:
-a dynamic program over reduced tree pairs sums caret weights, in the manner
-of M. Elder, É. Fusy and A. Rechnitzer, "Counting elements and geodesics in
-Thompson's group F", J. Algebra 324 (2010). The weights are B. Fordham's,
-"Minimal length elements of Thompson's group F", Geom. Dedicata 99 (2003);
-``word_length`` reads |g| off a pair with the same table. The search stays
-their independent check.
+Balls come from breadth-first search keyed by canonical reduced pairs, to
+a capped radius (default 9); the tests check the weights against it. The
+search never multiplies an element back along the edge it was reached by:
+one product per edge between spheres (33,228 to radius 9, 31,589 elements).
 
 The random sampler draws exactly what the plain recursive definition
 draws from the seed. It builds trees without recursion, sharing their
@@ -24,20 +20,19 @@ subtrees of one and two carets, and reduces each pair from the carets
 over two leaves it recorded, in time linear in the caret count.
 
 The distortion sweep samples random product-group elements, embeds them,
-and records the caret-count bounds of the image next to the product norm
-of the input. Product norms use the caret-count lower bound for each
-group factor and |t| for each integer factor, which reproduces the
-embedding's inequality chain with exact integer arithmetic. Affine fits
-of the recorded bounds are computed in exact rational arithmetic, so the
-slope assertions carry no floating point tolerance.
+and records the image's caret-count bounds, and its length by the weights
+when that is within a given radius, next to the input's product norm: each
+group factor's caret-count lower bound plus |t| for each integer factor,
+which reproduces the embedding's inequality chain in exact integers. Affine
+fits of the recorded bounds are exact rationals, so the slope assertions
+carry no floating point tolerance.
 
 CSV output (bit-exact header)::
 
     m,n,addresses,input_norm,caret_count,lower,upper,exact
 
-with an empty ``exact`` field when the image lies outside the oracle
-ball. Row order follows the sample index; runs are reproducible from the
-seed.
+with ``exact`` empty unless the image's length is within the asked radius.
+Rows follow the sample index and are reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -57,6 +52,13 @@ from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
                     _node, _reduce_hits)
 
 DEFAULT_RADIUS_CAP = 9
+
+
+def _check_radius(radius: int, cap: int = DEFAULT_RADIUS_CAP) -> None:
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if radius > cap:
+        raise ValueError(f"radius {radius} exceeds the oracle cap {cap}")
 
 
 def length_bounds(g: GroupElement) -> tuple[int, int]:
@@ -287,14 +289,8 @@ class WordMetricOracle:
         self._stats: list[LevelStats] = []
         self._lock = threading.Lock()
 
-    def _check_radius(self, radius: int) -> None:
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if radius > self.cap:
-            raise ValueError(f"radius {radius} exceeds the oracle cap {self.cap}")
-
     def _grow_to(self, radius: int) -> None:
-        self._check_radius(radius)
+        _check_radius(radius, self.cap)
         lengths, steps = self._lengths, self._steps
         with self._lock:
             while len(self._sizes) <= radius:
@@ -331,7 +327,7 @@ class WordMetricOracle:
             self._grow_to(radius)
             with self._lock:
                 return self._sizes[:radius + 1]
-        self._check_radius(radius)
+        _check_radius(radius, self.cap)
         with self._lock:
             if self._counts is None:
                 self._counts = _count_spheres(self.cap)
@@ -346,7 +342,7 @@ class WordMetricOracle:
     def exact_length(self, g: GroupElement, max_radius: int | None = None) -> int | None:
         """|g| if it is at most max_radius (default: the cap), else None."""
         radius = self.cap if max_radius is None else max_radius
-        self._check_radius(radius)
+        _check_radius(radius, self.cap)
         known = self._lengths.get(g)
         if known is None:
             self._grow_to(radius)
@@ -385,11 +381,14 @@ def check_bounds_on_ball(radius: int,
 
 def metric_estimate(g: GroupElement, oracle: WordMetricOracle | None = None,
                     search_radius: int | None = None) -> MetricEstimate:
-    """Bundle N(g) with its bracket; look up the exact length when asked."""
+    """Bundle N(g), its bracket and, if at most ``search_radius``, |g|. The
+    radius may not pass ``oracle.cap`` (the oracle's only use) or the default."""
     lower, upper = length_bounds(g)
     exact: int | None = 0 if g.is_identity else None
     if exact is None and search_radius is not None:
-        exact = (oracle or WordMetricOracle()).exact_length(g, search_radius)
+        _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
+        if lower <= search_radius and (length := word_length(g)) <= search_radius:
+            exact = length
     return MetricEstimate(g.caret_count, lower, upper, exact)
 
 
@@ -518,9 +517,9 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
                      max_carets: int = 12, max_z: int = 12,
                      oracle: WordMetricOracle | None = None,
                      search_radius: int | None = None) -> list[DistortionSample]:
-    """Sample random product elements, embed them, and record both norms."""
+    """Sample random product elements, embed them, and record both norms;
+    ``oracle`` (only its cap) and ``search_radius`` go to ``metric_estimate``."""
     rng = random.Random(seed)
-    oracle = oracle or WordMetricOracle()
     out: list[DistortionSample] = []
     for _ in range(samples):
         ws = [random_element(rng, max_carets, nontrivial=True)

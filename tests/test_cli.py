@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from thompsonf import generator, parse_pair, power
+from thompsonf import metric as metric_module
 from thompsonf.cli import main
 
 
@@ -59,6 +60,22 @@ class TestMetricCommands:
         code, out, _ = run(capsys, "metric", "x0 x1^-1", "--pow", "9", "--radius", "2")
         assert code == 0
         assert out.endswith("exact=unknown\n")
+
+    def test_metric_radius_makes_no_products(self, capsys, monkeypatch):
+        # the exact length is read off the pair, not found by a search
+        def forbidden(*args):
+            raise AssertionError("metric --radius multiplies nothing in the metric module")
+        monkeypatch.setattr(metric_module, "multiply", forbidden)
+        assert run(capsys, "metric", "x0^-1 x1 x0", "--radius", "9") == (
+            0, "N=4 bounds=(2, 12) exact=3\n", "")
+
+    def test_metric_checks_the_radius_of_the_identity(self, capsys):
+        for radius, err in [("-1", "radius must be nonnegative"),
+                            ("10", "radius 10 exceeds the oracle cap 9")]:
+            assert run(capsys, "metric", "x0 x0^-1", "--radius", radius) == (
+                1, "", f"error: {err}\n")
+        assert run(capsys, "metric", "x0 x0^-1", "--radius", "0") == (
+            0, "N=0 bounds=(0, 0) exact=0\n", "")
 
     def test_metric_radius_over_cap(self, capsys):
         code, _, err = run(capsys, "metric", "x0", "--radius", "12")
@@ -233,6 +250,10 @@ GOLDEN = [
      "d5b45e0063c29029c468973d81b3c110455def5f9b38ea9bdcf6a97f57edd126"),
     (("metric", "x0^-1 x1 x0", "--radius", "4"),
      "602937e6764c814df4ff525b60fa6140cc11b64367d36e849d5122c8afbf94b7"),
+    (("metric", "x0", "--radius", "10"),
+     "997bd3ed1658cd972deac4de3feb979dcfc7803eca4b2f5bbbc9d1ea5a908a8d"),
+    (("metric", "x0", "--radius", "-1"),
+     "cb180c461aab8d6fc4dfd95c9b0147cc6108c3966e4a5b505a8965c85e9a0ff0"),
     (("ball", "--radius", "9"),
      "3d951bf13488ad2b6d7dcff20791f2c5555012c09427d5cbe3ed40e965af34b8"),
     (("ball", "--radius", "11"),
@@ -252,6 +273,13 @@ GOLDEN = [
      "5f32ef0a04c897b7a024605c17381bd9d440fa2ccc8127f52a41b4e714a21e66"),
     (("sweep", "--radius", "7", "--samples", "200"),
      "d7cd3d557830d86901e1f71a3d912e47a97d2fec9ba8f97dfc73b1fae366f767"),
+    (("sweep", "--radius", "10", "--samples", "5"),
+     "997bd3ed1658cd972deac4de3feb979dcfc7803eca4b2f5bbbc9d1ea5a908a8d"),
+    (("sweep", "--radius", "-1", "--samples", "5"),
+     "cb180c461aab8d6fc4dfd95c9b0147cc6108c3966e4a5b505a8965c85e9a0ff0"),
+    (("sweep", "--embedding", "psi", "--addresses", "00,01,1", "--n", "2",
+      "--radius", "9", "--samples", "300"),
+     "59e1d6e2a18198deb880636949f2e70bee37746afa6ebd13d9f37ae1aa5f3341"),
     (("render", "x0 x1^2 x3^-1"),
      "bf2ecc4b33892f41eabfc48808871863bf15d2e74889865b9497e9911dbaee8a"),
     (("render", "x0 x1^2 x3^-1", "--format", "dot"),

@@ -319,6 +319,52 @@ class TestMetricEstimate:
         est = metric_estimate(identity(), oracle=oracle)
         assert est.exact == 0
 
+    def test_exact_equals_the_search_on_the_radius_7_ball(self, oracle):
+        for g, length in oracle.ball(7).items():
+            for r in range(8):
+                expected = length if length <= r else None
+                assert metric_estimate(g, search_radius=r).exact == expected, (g, r)
+
+    def test_radius_checked_against_the_given_cap(self):
+        g = generator(2)
+        with pytest.raises(ValueError, match="^radius 4 exceeds the oracle cap 3$"):
+            metric_estimate(g, oracle=WordMetricOracle(cap=3), search_radius=4)
+        with pytest.raises(ValueError, match="^radius 10 exceeds the oracle cap 9$"):
+            metric_estimate(g, search_radius=10)
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            metric_estimate(g, search_radius=-1)
+        assert metric_estimate(g, oracle=WordMetricOracle(cap=10), search_radius=10).exact == 3
+
+    @pytest.mark.parametrize("spec", [
+        f_z_spec(), product_spec(("0", "11"), 1), product_spec(("0", "10", "11"), 0),
+        product_spec(("00", "01", "1"), 2),
+    ], ids=["phi", "psi 0,11", "psi 0,10,11", "psi 00,01,1"])
+    def test_sweep_images_agree_with_the_search(self, oracle, monkeypatch, spec):
+        # the benchmark's four specs: each image's exact length at radius 8
+        # is the search's. Small factors put phi images on both sides of the
+        # radius. The psi images all lie outside it; those of 00,01,1 do so
+        # by their lower bound alone, so word_length is not read for them
+        images, lengths_read = [], []
+        for name, seen in (("embed_f_z", images), ("embed_product", images),
+                           ("word_length", lengths_read)):
+            def recording(*args, real=getattr(metric_module, name), seen=seen):
+                seen.append(real(*args))
+                return seen[-1]
+            monkeypatch.setattr(metric_module, name, recording)
+        samples = distortion_sweep(spec, 150, seed=5, max_carets=3, max_z=2,
+                                   search_radius=8)
+        assert len(images) == len(samples)
+        assert [s.image.exact for s in samples] == [oracle.exact_length(image, 8)
+                                                    for image in images]
+        assert len(lengths_read) == sum(s.image.lower <= 8 for s in samples)
+
+    def test_sweep_grows_no_ball(self):
+        oracle = WordMetricOracle(cap=8)
+        samples = distortion_sweep(f_z_spec(), 200, seed=1, max_carets=5, max_z=3,
+                                   oracle=oracle, search_radius=8)
+        assert any(s.image.exact is not None for s in samples)
+        assert len(oracle._lengths) == 1  # the identity alone
+
 
 def reference_random_tree(rng, carets):
     """The recursive sampler: randrange(carets) carets go left, in preorder."""

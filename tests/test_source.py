@@ -80,6 +80,17 @@ def test_sphere_count_is_independent_of_the_search():
         assert _names_used(getattr(metric, name).__code__) & search == set(), name
 
 
+def test_sweep_and_metric_paths_grow_no_ball():
+    # exact lengths on these paths come from word_length; the search stays
+    # for ball and for the tests that check word_length against it
+    metric = importlib.import_module("thompsonf.metric")
+    cli = importlib.import_module("thompsonf.cli")
+    search = {"WordMetricOracle", "exact_length", "_grow_to"}
+    for function in (metric.metric_estimate, metric.distortion_sweep,
+                     cli._cmd_metric, cli._cmd_sweep):
+        assert _names_used(function.__code__) & search == set(), function.__name__
+
+
 ROOT = SRC.parents[1]
 
 EXPORTS = {
