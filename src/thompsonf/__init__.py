@@ -37,7 +37,6 @@ from .trees import (
 from .words import (
     Letter,
     NormalForm,
-    Word,
     format_word,
     normal_form_to_tree_pair,
     parse_word,
@@ -49,7 +48,6 @@ from .words import (
 )
 from .group import (
     GroupElement,
-    RelatorReport,
     commutator,
     commutator_is_trivial,
     element_of_word,
@@ -71,11 +69,7 @@ from .embeddings import (
     z_generator,
 )
 from .metric import (
-    BoundsReport,
-    DEFAULT_RADIUS_CAP,
-    DistortionSample,
     EmbeddingSpec,
-    EnvelopeFit,
     MetricEstimate,
     WordMetricOracle,
     affine_fit,

@@ -9,10 +9,11 @@ sizes are counted from the same table without building an element, in the
 manner of M. Elder, É. Fusy and A. Rechnitzer, "Counting elements and
 geodesics in Thompson's group F", J. Algebra 324 (2010).
 
-Balls come from breadth-first search keyed by canonical reduced pairs, to
-a capped radius (default 9); the tests check the weights against it. The
-search never multiplies an element back along the edge it was reached by:
-one product per edge between spheres (33,228 to radius 9, 31,589 elements).
+Balls come from breadth-first search on x0, x1 and their inverses only,
+keyed by canonical reduced pairs, to a capped radius (default 9); the
+tests check the weights against it. The search never multiplies an element
+back along the edge it was reached by: one product per edge between
+spheres (33,228 to radius 9, 31,589 elements).
 
 The random sampler draws exactly what the plain recursive definition
 draws from the seed. It builds trees without recursion, sharing their
@@ -242,50 +243,40 @@ class LevelStats(NamedTuple):
 
 
 class WordMetricOracle:
-    """Breadth-first exact word metric on the generators x0, x1.
+    """Breadth-first exact word metric on the generators x0, x1 and their
+    inverses.
 
     Levels are grown on demand and cached, so repeated queries share one
-    search. Ball contents are independent of the generator expansion
-    order; the cap bounds memory and runtime.
+    search; the cap bounds memory and runtime.
 
     The search is forward-only. When p = g h is reached from sphere d - 1
     and p is new or already on sphere d, then p h^-1 = g is known, so p is
-    never multiplied by a generator equal to h^-1. The frontier maps each
-    element of the newest sphere to a bitmask of the generator indices it
-    skips. Only products whose result is already known are skipped, so
-    the ball and its order are those of the plain search for any
-    generating set. For a set closed under inverses whose Cayley graph is
-    bipartite, as that of x0, x1 is, growing sphere d costs one product
-    per edge from sphere d - 1 to sphere d.
+    never multiplied by h^-1. The frontier maps each element of the newest
+    sphere to a bitmask of the generator indices it skips. Only products
+    whose result is already known are skipped, so the ball and its order
+    are those of the plain search. The generating set is closed under
+    inverses and its Cayley graph is bipartite, so growing sphere d costs
+    one product per edge from sphere d - 1 to sphere d.
 
-    Sphere sizes on the standard generators x0, x1 and inverses, in any
-    order, are not searched for: they are counted from Fordham's caret
-    weights, once up to the cap on the first call (see ``_count_spheres``).
-    Balls, lengths and level stats, and the sizes on any other generating
-    set, come from the search.
+    Sphere sizes are not searched for: they are counted from Fordham's
+    caret weights, once up to the cap on the first call (see
+    ``_count_spheres``). Balls, lengths and level stats come from the search.
 
     A lock serialises growth and the count, so one oracle may be shared
     across threads; a lookup of an element already found takes no lock.
     """
 
-    def __init__(self, cap: int = DEFAULT_RADIUS_CAP,
-                 generators: Sequence[GroupElement] | None = None):
+    def __init__(self, cap: int = DEFAULT_RADIUS_CAP):
         if cap < 0:
             raise ValueError("cap must be nonnegative")
         self.cap = cap
         x0, x1 = generator(0), generator(1)
-        standard = (x0, inverse(x0), x1, inverse(x1))
-        gens = standard if generators is None else tuple(generators)
-        self._counted = set(gens) == set(standard)
         self._counts: list[int] | None = None  # sphere sizes to the cap, once counted
-        # (bit of h, h, bits of the generators equal to h^-1) per index
-        self._steps = tuple(
-            (1 << j, h, sum(1 << i for i, k in enumerate(gens) if k == inverse(h)))
-            for j, h in enumerate(gens)
-        )
+        # (bit of h, h, bit of h^-1) per index: step j ^ 1 is the inverse of step j
+        self._steps = tuple((1 << j, h, 1 << (j ^ 1)) for j, h in
+                            enumerate((x0, inverse(x0), x1, inverse(x1))))
         self._lengths: dict[GroupElement, int] = {identity(): 0}
         self._frontier: dict[GroupElement, int] = {identity(): 0}
-        self._sizes = [1]
         self._stats: list[LevelStats] = []
         self._lock = threading.Lock()
 
@@ -293,8 +284,8 @@ class WordMetricOracle:
         _check_radius(radius, self.cap)
         lengths, steps = self._lengths, self._steps
         with self._lock:
-            while len(self._sizes) <= radius:
-                depth = len(self._sizes)
+            while len(self._stats) < radius:
+                depth = len(self._stats) + 1
                 frontier = self._frontier
                 nxt: dict[GroupElement, int] = {}
                 for g, skip in frontier.items():
@@ -312,21 +303,17 @@ class WordMetricOracle:
                             - sum(skip.bit_count() for skip in frontier.values()))
                 self._stats.append(LevelStats(products, len(nxt), products - len(nxt)))
                 self._frontier = nxt
-                self._sizes.append(len(nxt))
 
     def ball(self, radius: int) -> dict[GroupElement, int]:
         """Every element with word length <= radius, mapped to its length,
         in the order the search found them."""
         self._grow_to(radius)
         with self._lock:
-            return dict(islice(self._lengths.items(), sum(self._sizes[:radius + 1])))
+            size = 1 + sum(s.new for s in self._stats[:radius])
+            return dict(islice(self._lengths.items(), size))
 
     def sphere_sizes(self, radius: int) -> list[int]:
         """Element counts at each exact length 0..radius."""
-        if not self._counted:
-            self._grow_to(radius)
-            with self._lock:
-                return self._sizes[:radius + 1]
         _check_radius(radius, self.cap)
         with self._lock:
             if self._counts is None:
@@ -519,6 +506,8 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
                      search_radius: int | None = None) -> list[DistortionSample]:
     """Sample random product elements, embed them, and record both norms;
     ``oracle`` (only its cap) and ``search_radius`` go to ``metric_estimate``."""
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     rng = random.Random(seed)
     out: list[DistortionSample] = []
     for _ in range(samples):

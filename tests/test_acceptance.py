@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from thompsonf import (
     NormalForm,
+    check_bounds_on_ball,
     clone_map,
     commutator_is_trivial,
     distortion_envelopes,
@@ -35,7 +36,7 @@ from thompsonf import (
     xinv,
     z_generator,
 )
-from thompsonf.metric import length_bounds, random_element, random_tree
+from thompsonf.metric import random_element, random_tree
 from thompsonf.trees import TreePair
 
 
@@ -99,18 +100,11 @@ def test_criterion_3_z_power_formula():
 
 def test_criterion_4_metric_bounds_on_ball(oracle):
     start = time.perf_counter()
-    violations = 0
-    checked = 0
-    for g, length in oracle.ball(8).items():
-        if length == 0:
-            continue
-        checked += 1
-        lower, upper = length_bounds(g)
-        if not lower <= length <= upper:
-            violations += 1
-    assert checked == 11236
-    assert violations == 0
-    report(4, f"metric bounds over {checked} ball elements", time.perf_counter() - start, 300.0)
+    bounds = check_bounds_on_ball(8, oracle)
+    assert bounds.checked == 11236
+    assert bounds.passed
+    report(4, f"metric bounds over {bounds.checked} ball elements",
+           time.perf_counter() - start, 300.0)
 
 
 def test_criterion_5_f_z_caret_arithmetic():

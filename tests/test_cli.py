@@ -162,6 +162,12 @@ class TestEmbeddingCommands:
         assert (code, out) == (1, "")
         assert err == "error: addresses must be pairwise prefix-free\n"
 
+    def test_sweep_rejects_a_negative_sample_count(self, capsys):
+        assert run(capsys, "sweep", "--samples", "-3") == (
+            1, "", "error: samples must be nonnegative\n")
+        assert run(capsys, "sweep", "--samples", "0") == (
+            0, "m,n,addresses,input_norm,caret_count,lower,upper,exact\n", "")
+
     def test_sweep_psi_to_stdout(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--embedding", "psi", "--addresses", "0,10,11",

@@ -94,11 +94,10 @@ def test_sweep_and_metric_paths_grow_no_ball():
 ROOT = SRC.parents[1]
 
 EXPORTS = {
-    "BoundsReport", "DEFAULT_RADIUS_CAP", "DistortionSample", "EmbeddingSpec",
-    "EnvelopeFit", "GroupElement", "LEAF", "Letter", "MetricEstimate",
-    "NormalForm", "ParseError", "RelatorReport", "Tree", "TreePair", "Word",
-    "WordMetricOracle", "address_interval", "affine_fit", "caret",
-    "caret_count", "check_bounds_on_ball", "clone_map", "commutator",
+    "EmbeddingSpec", "GroupElement", "LEAF", "Letter", "MetricEstimate",
+    "NormalForm", "ParseError", "Tree", "TreePair", "WordMetricOracle",
+    "address_interval", "affine_fit", "caret", "caret_count",
+    "check_bounds_on_ball", "clone_map", "commutator",
     "commutator_is_trivial", "distortion_envelopes", "distortion_sweep",
     "element_of_word", "embed_f_z", "embed_product", "envelope_fit",
     "f_z_spec", "format_pair", "format_tree", "format_word", "generator",
@@ -138,7 +137,7 @@ def test_star_import_binds_the_exports():
     namespace = {}
     exec("from thompsonf import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTS
-    assert len(EXPORTS) == 68
+    assert len(EXPORTS) == 62
 
 
 def test_readme_quick_start_runs():
