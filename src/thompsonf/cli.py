@@ -9,8 +9,8 @@ status 0 on success, 1 on parse or validation failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
-from contextlib import ExitStack
 
 from .embeddings import embed_f_z, embed_product
 from .group import (
@@ -23,7 +23,6 @@ from .group import (
 from .metric import (
     EmbeddingSpec,
     WordMetricOracle,
-    _check_radius,
     distortion_sweep,
     metric_estimate,
     product_spec,
@@ -73,7 +72,6 @@ def _cmd_metric(args, out):
     est = metric_estimate(g, search_radius=args.radius)
     line = f"N={est.caret_count} bounds=({est.lower}, {est.upper})"
     if args.radius is not None:
-        _check_radius(args.radius)  # metric_estimate leaves the identity's unchecked
         line += f" exact={est.exact if est.exact is not None else 'unknown'}"
     print(line, file=out)
     return 0
@@ -210,16 +208,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    with ExitStack() as stack:
-        if args.out is not None:
-            out = stack.enter_context(open(args.out, "w", newline=""))
-        else:
-            out = sys.stdout
-        try:
-            return args.func(args, out)
-        except (ValueError, RuntimeError) as exc:  # ParseError is a ValueError
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    out = sys.stdout if args.out is None else io.StringIO()
+    try:
+        code = args.func(args, out)
+    except (ValueError, RuntimeError) as exc:  # ParseError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if args.out is not None:  # opened only now, so a failed command keeps the file
+        with open(args.out, "w", newline="") as f:
+            f.write(out.getvalue())
+    return code
 
 
 def main_entry() -> None:

@@ -370,12 +370,13 @@ def metric_estimate(g: GroupElement, oracle: WordMetricOracle | None = None,
                     search_radius: int | None = None) -> MetricEstimate:
     """Bundle N(g), its bracket and, if at most ``search_radius``, |g|. The
     radius may not pass ``oracle.cap`` (the oracle's only use) or the default."""
+    if search_radius is not None:
+        _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
     lower, upper = length_bounds(g)
     exact: int | None = 0 if g.is_identity else None
-    if exact is None and search_radius is not None:
-        _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
-        if lower <= search_radius and (length := word_length(g)) <= search_radius:
-            exact = length
+    if (exact is None and search_radius is not None and lower <= search_radius
+            and (length := word_length(g)) <= search_radius):
+        exact = length
     return MetricEstimate(g.caret_count, lower, upper, exact)
 
 
@@ -508,6 +509,8 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
     ``oracle`` (only its cap) and ``search_radius`` go to ``metric_estimate``."""
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if search_radius is not None:
+        _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
     rng = random.Random(seed)
     out: list[DistortionSample] = []
     for _ in range(samples):

@@ -28,7 +28,8 @@ cancellation, x_a^-1 x_b -> x_{b+1} x_a^-1 (a < b) or x_b x_{a+1}^-1
 x_{b+1}^-1 x_a^-1 (a < b). The rewritten prefix stays sorted, so it is
 kept as two sorted index lists and each next letter moves into place in
 one pass, its moves done as list operations. The step count, which
-``_REWRITE_STEP_CAP`` bounds, is the number of rule applications.
+``_REWRITE_STEP_CAP`` bounds, is the number of rule applications. The
+uniqueness condition is then enforced on the same two sorted lists.
 """
 
 from __future__ import annotations
@@ -289,56 +290,27 @@ def _semi_normalize(word: Sequence[Letter]) -> tuple[list[int], list[int], int]:
     return pos, neg, steps
 
 
-def _blocks(indices: Sequence[int]) -> list[list[int]]:
-    """Group a sorted index sequence into [index, count] runs."""
-    out: list[list[int]] = []
-    for idx in indices:
-        if out and out[-1][0] == idx:
-            out[-1][1] += 1
-        else:
-            if out and out[-1][0] > idx:
-                raise ValueError("semi-normal part is not sorted")
-            out.append([idx, 1])
-    return out
-
-
-def _drop_one_and_shift(blocks: list[list[int]], i: int) -> list[list[int]]:
-    # remove one letter of index i; everything above (all >= i+2) shifts down
-    out: list[list[int]] = []
-    for idx, cnt in blocks:
-        if idx == i:
-            if cnt > 1:
-                out.append([idx, cnt - 1])
-        elif idx > i:
-            out.append([idx - 1, cnt])
-        else:
-            out.append([idx, cnt])
-    return out
+def _runs(indices: list[int]) -> tuple[tuple[int, int], ...]:
+    """Group an index list into (index, count) runs, keeping its order."""
+    return tuple((i, sum(1 for _ in run)) for i, run in groupby(indices))
 
 
 def rewrite_to_normal_form(word: Sequence[Letter]) -> NormalForm:
     """Normal form computed purely by string rewriting.
 
-    After semi-normalization the uniqueness condition is enforced by the
-    reverse substitution: when index i occurs in both parts and neither
-    x_{i+1} nor x_{i+1}^-1 occurs, the innermost x_i ... x_i^-1 pair is
-    removed and every index beyond i+1 shifts down by one. Each such move
-    shortens the word, so the loop terminates.
+    After semi-normalization the uniqueness condition is enforced on the
+    same two sorted index lists by the reverse substitution: while index
+    i occurs in both lists and i+1 in neither, one x_i ... x_i^-1 pair is
+    removed for the smallest such i and every index above i drops by one.
+    Each such move shortens the word, so the loop terminates.
     """
-    pos_indices, neg_indices, _ = _semi_normalize(word)
-    pos, neg = _blocks(pos_indices), _blocks(neg_indices)
+    pos, neg, _ = _semi_normalize(word)
     while True:
-        pos_idx = {i for i, _ in pos}
-        neg_idx = {j for j, _ in neg}
-        bad = sorted(
-            i for i in pos_idx & neg_idx
-            if i + 1 not in pos_idx and i + 1 not in neg_idx
-        )
+        both, either = set(pos) & set(neg), set(pos) | set(neg)
+        bad = [i for i in both if i + 1 not in either]
         if not bad:
-            break
-        pos = _drop_one_and_shift(pos, bad[0])
-        neg = _drop_one_and_shift(neg, bad[0])
-    return NormalForm(
-        tuple((i, c) for i, c in pos),
-        tuple((j, c) for j, c in neg),
-    )
+            return NormalForm(_runs(pos), _runs(neg))
+        i = min(bad)
+        for part in (pos, neg):
+            part.remove(i)
+            part[:] = [j - 1 if j > i else j for j in part]

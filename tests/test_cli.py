@@ -162,6 +162,15 @@ class TestEmbeddingCommands:
         assert (code, out) == (1, "")
         assert err == "error: addresses must be pairwise prefix-free\n"
 
+    @pytest.mark.parametrize("samples", ["0", "2"])
+    def test_sweep_rejects_a_bad_radius(self, capsys, samples):
+        # also when no image needs it: none is drawn, or each is the identity
+        for flags, err in [(("--embedding", "psi", "--radius", "-1"),
+                            "radius must be nonnegative"),
+                           (("--radius", "99"), "radius 99 exceeds the oracle cap 9")]:
+            assert run(capsys, "sweep", *flags, "--samples", samples) == (
+                1, "", f"error: {err}\n")
+
     def test_sweep_rejects_a_negative_sample_count(self, capsys):
         assert run(capsys, "sweep", "--samples", "-3") == (
             1, "", "error: samples must be nonnegative\n")
@@ -222,6 +231,13 @@ class TestErrors:
         path = tmp_path / "nf.txt"
         assert main(["nf", "x1 x0", "--out", str(path)]) == 0
         assert path.read_text() == "x0 x2\n"
+
+    def test_out_flag_keeps_the_file_when_the_command_fails(self, capsys, tmp_path):
+        path = tmp_path / "keep.csv"
+        path.write_bytes(b"keep me\n")
+        for argv in (["sweep", "--samples", "-3"], ["nf", "x1 y0"]):
+            assert main([*argv, "--out", str(path)]) == 1
+            assert path.read_bytes() == b"keep me\n"
 
 
 def test_readme_examples_print_their_comments(capsys):

@@ -315,6 +315,11 @@ class TestMetricEstimate:
         with pytest.raises(ValueError, match="^radius must be nonnegative$"):
             metric_estimate(g, search_radius=-1)
         assert metric_estimate(g, oracle=WordMetricOracle(cap=10), search_radius=10).exact == 3
+        # the identity's radius is checked too, though its length needs none
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            metric_estimate(identity(), search_radius=-1)
+        with pytest.raises(ValueError, match="^radius 10 exceeds the oracle cap 9$"):
+            metric_estimate(identity(), search_radius=10)
 
     @pytest.mark.parametrize("spec", [
         f_z_spec(), product_spec(("0", "11"), 1), product_spec(("0", "10", "11"), 0),
@@ -482,6 +487,22 @@ class TestSweep:
         with pytest.raises(ValueError, match="^samples must be nonnegative$"):
             distortion_sweep(f_z_spec(), -3)
         assert distortion_sweep(f_z_spec(), 0) == []
+
+    def test_radius_checked_before_any_draw(self, monkeypatch):
+        # also when no image needs it: none is drawn, or each is the identity
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a sample was drawn")
+
+        identities = product_spec(("",), 0)
+        with pytest.raises(ValueError, match="^radius must be nonnegative$"):
+            distortion_sweep(identities, 2, search_radius=-1)
+        with pytest.raises(ValueError, match="^radius 4 exceeds the oracle cap 3$"):
+            distortion_sweep(identities, 2, oracle=WordMetricOracle(cap=3), search_radius=4)
+        monkeypatch.setattr(metric_module, "random_element", refuse)
+        with pytest.raises(ValueError, match="^radius 99 exceeds the oracle cap 9$"):
+            distortion_sweep(f_z_spec(), 0, search_radius=99)
+        with pytest.raises(ValueError, match="^samples must be nonnegative$"):
+            distortion_sweep(f_z_spec(), -3, search_radius=99)
 
     def test_phi_spec_names_the_address_its_image_uses(self):
         # embed_f_z always grafts at "11", so a phi spec may name no other

@@ -64,8 +64,7 @@ def test_rewriting_oracle_is_independent_of_the_tree_route():
     for module in ("trees", "group"):
         tree_route |= _top_level_names(SRC / f"{module}.py")
     assert {"TreePair", "leaf_exponents", "multiply", "element_of_word"} <= tree_route
-    for name in ("_semi_normalize", "_blocks", "_drop_one_and_shift",
-                 "rewrite_to_normal_form"):
+    for name in ("_semi_normalize", "_runs", "rewrite_to_normal_form"):
         assert _names_used(getattr(words, name).__code__) & tree_route == set(), name
 
 

@@ -233,6 +233,12 @@ class TestRewritingOracle:
     def test_uniqueness_enforcement(self):
         # x1 x3 x1^-1 conjugates down to x2
         assert rewrite_to_normal_form((x(1), x(3), xinv(1))) == NormalForm(((2, 1),), ())
+        # removing the pair at index 1 exposes a violation at index 0
+        word = (x(0), x(1), x(3), xinv(1), xinv(0))
+        assert rewrite_to_normal_form(word) == NormalForm(((1, 1),), ())
+        # a repeated index loses only one pair: x1^2 x3 x1^-2 -> x1 x2 x1^-1
+        word = (x(1), x(1), x(3), xinv(1), xinv(1))
+        assert rewrite_to_normal_form(word) == NormalForm(((1, 1), (2, 1)), ((1, 1),))
 
     def test_enforcement_shifts_both_parts(self):
         # x0 x2 x5 x3^-1 x0^-1 -> x1 x4 x2^-1
@@ -272,11 +278,6 @@ class TestRewritingOracle:
         assert rewrite_to_normal_form(word) == element_of_word(word).normal_form()
         with pytest.raises(words_module.RewriteLimitError, match="_REWRITE_STEP_CAP"):
             rewrite_to_normal_form((xinv(0),) * 448 + (x(1),) * 448)
-
-    def test_unsorted_block_input_raises_value_error(self):
-        assert words_module._blocks([1, 1, 2]) == [[1, 2], [2, 1]]
-        with pytest.raises(ValueError, match="not sorted"):
-            words_module._blocks([2, 1])
 
 
 class TestBijection:
