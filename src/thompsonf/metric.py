@@ -161,9 +161,17 @@ def _count_spheres(radius: int) -> list[int]:
     last one waiting. A tree's state is (where its current caret lies, the
     carets waiting, whether the current caret's left child is a leaf), and a
     move fixes the current caret's type. A step whose two carets each sit
-    over two leaves is dropped, so every pair counted is reduced. A state
-    whose waiting carets alone would pass the radius is pruned: every caret
-    but the last weighs at least 1.
+    over two leaves is dropped, so every pair counted is reduced.
+
+    Each (neg state, pos state) pair packs its counts in one int, S bits a
+    weight, so a move of weight w is a shift by w S and a mask, which prunes
+    the counts the pair's waiting carets would carry past the radius: every
+    caret but the last weighs at least 1. At radius r, S is the bit length
+    of (25 (r + 1)^2)^(r + 2), and no slot carries (proved, not just
+    checked): a count after k steps is at most (25 (r + 1)^2)^k, as a step
+    takes one of at most 25 move pairs and at most r + 1 descent depths in
+    each tree; k <= r + 1, as every step but the first and last weighs at
+    least 1; and a sphere size is at most 4^r.
     """
     # where the current caret lies: caret 0, the rest of the left arm, the
     # right arm, or interior before or after the root. On the left arm no
@@ -187,50 +195,60 @@ def _count_spheres(radius: int) -> list[int]:
 
     states = [("L0", 0, True), ("LL", 0, False), ("right", 0, True), ("right", 0, False)]
     states += [(where, waiting, leaf) for where in ("before", "after")
-               for waiting in range(1, radius + 1) for leaf in (True, False)]
-    table = {state: moves(*state) for state in states}
+               for waiting in range(1, radius + 2) for leaf in (True, False)]
+    # State numbers put one caret deeper two on and the end last; pair (a, b)
+    # is a n + b. Masks drop waits past the radius and pairs half read.
+    index = {state: i for i, state in enumerate(states)}
+    end = len(states)
+    table = [[(kind, state[2] and right_leaf, end if to is None else index[to])
+              for kind, right_leaf, to in moves(*state)] for state in states] + [[]]
+    states.append(("end", 0, False))
+    n = len(states)
+    width = ((25 * (radius + 1) ** 2) ** (radius + 2)).bit_length()
+    shifts = [w * width for w in range(5)]
+    fits = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)] + [0]
+    masks = [fits[radius - max(a[1], b[1])] if (a[0] == "end") == (b[0] == "end") else 0
+             for a in states for b in states]
+    descends = [waiting if leaf and where in ("before", "after") else -1
+                for where, waiting, leaf in states]
+    sides = ((2 * n, [a for a in descends for _ in states]), (2, descends * n))
 
-    sizes = [1] + [0] * radius  # the identity: the pair of empty trees
-    start = states[0]
-    counts = {(start, start, 0): 1}  # (neg state, pos state, weight) -> pairs
+    read = 1  # the packed counts of the pairs read to the end: the identity
+    built: list[list[tuple[int, int, int]] | None] = [None] * (n * n)
+    counts = {0: 1}  # pair -> packed counts
     while counts:
-        nxt: defaultdict[tuple, int] = defaultdict(int)
-        for (neg, pos, weight), count in counts.items():
-            pos_moves = table[pos]
-            for neg_type, neg_right_leaf, neg_next in table[neg]:
-                row = _WEIGHTS[neg_type]
-                neg_cherry = neg[2] and neg_right_leaf
-                for pos_type, pos_right_leaf, pos_next in pos_moves:
-                    w = row[pos_type]
-                    if w is None or (neg_cherry and pos[2] and pos_right_leaf):
-                        continue
-                    w += weight
-                    if neg_next is None or pos_next is None:
-                        if neg_next is pos_next and w <= radius:
-                            sizes[w] += count
-                    elif w + max(neg_next[1], pos_next[1]) <= radius:
-                        nxt[neg_next, pos_next, w] += count
+        nxt: defaultdict[int, int] = defaultdict(int)
+        for pair, packed in counts.items():
+            found = built[pair]
+            if found is None:  # (shift, next pair, mask) of each move pair that can finish
+                neg, pos = divmod(pair, n)
+                found = built[pair] = [
+                    (shifts[w], to, masks[to])
+                    for neg_type, neg_cherry, neg_next in table[neg]
+                    for pos_type, pos_cherry, pos_next in table[pos]
+                    if (w := _WEIGHTS[neg_type][pos_type]) is not None
+                    and not (neg_cherry and pos_cherry)
+                    and masks[to := neg_next * n + pos_next] >> w * width]
+            for shift, to, mask in found:
+                if moved := (packed << shift) & mask:
+                    nxt[to] += moved
+        read += nxt.pop(end * n + end, 0)
         # A descent may go one caret deeper, any number of times: its bottom
         # caret then waits too. One tree at a time, fewest waiting first, so
         # each count is complete before it is carried deeper.
-        for side in (0, 1):
-            by_waiting: list[list[tuple]] = [[] for _ in range(radius + 1)]
-            for key in nxt:
-                where, waiting, leaf = key[side]
-                if leaf and where in ("before", "after"):
-                    by_waiting[waiting].append(key)
-            for keys in by_waiting:
-                for key in keys:
-                    where, waiting, _ = key[side]
-                    deeper = (where, waiting + 1, True)
-                    pushed = (deeper, key[1], key[2]) if side == 0 else (key[0], deeper, key[2])
-                    if key[2] + max(pushed[0][1], pushed[1][1]) > radius:
-                        continue
-                    if pushed not in nxt:
-                        by_waiting[waiting + 1].append(pushed)
-                    nxt[pushed] += nxt[key]
+        for step, depth in sides:
+            by_waiting: list[list[int]] = [[] for _ in range(radius + 2)]
+            for pair in nxt:
+                if depth[pair] >= 0:
+                    by_waiting[depth[pair]].append(pair)
+            for pairs in by_waiting:
+                for pair in pairs:
+                    if moved := nxt[pair] & masks[pair + step]:
+                        if pair + step not in nxt:
+                            by_waiting[depth[pair + step]].append(pair + step)
+                        nxt[pair + step] += moved
         counts = nxt
-    return sizes
+    return [read >> w * width & fits[0] for w in range(radius + 1)]
 
 
 class LevelStats(NamedTuple):

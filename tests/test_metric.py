@@ -2,6 +2,7 @@ import io
 import random
 import sys
 import threading
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,8 @@ from thompsonf import (
 )
 from thompsonf import group as group_module
 from thompsonf import metric as metric_module
-from thompsonf.metric import _randbelow, random_element, random_tree, word_length
+from thompsonf.metric import (_I0, _IR, _L0, _LL, _R0, _RI, _RNI, _WEIGHTS, _randbelow,
+                              random_element, random_tree, word_length)
 
 from conftest import el, large_elements
 
@@ -47,6 +49,8 @@ from conftest import el, large_elements
 BALL_SIZES = [1, 5, 17, 53, 161, 475]
 SPHERES_TO_8 = [1, 4, 12, 36, 108, 314, 906, 2576, 7280]
 SPHERES_TO_11 = SPHERES_TO_8 + [20352, 56664, 156570]
+# radius 12 by breadth-first search (20 s and 577 MB, so not searched here)
+SPHERES_TO_12 = SPHERES_TO_11 + [431238]
 
 
 def reference_ball(generators, radius):
@@ -63,6 +67,91 @@ def reference_ball(generators, radius):
                     nxt.append(p)
         frontier = nxt
     return lengths
+
+
+# The sphere counter as it was before its counts were packed per state
+# pair: a dict keyed by (neg state, pos state, weight), kept as the reference.
+def reference_count_spheres(radius: int) -> list[int]:
+    """Element counts at each word length 0..radius on x0, x1, counted over
+    reduced tree pairs by caret weight without building any element.
+
+    Both trees are read in infix order, one caret of each per step. After a
+    caret whose right child is a caret, the reading descends the left chain
+    of that child and visits its bottom caret, while the carets above it
+    wait; after a caret whose right child is a leaf, the next caret is the
+    last one waiting. A tree's state is (where its current caret lies, the
+    carets waiting, whether the current caret's left child is a leaf), and a
+    move fixes the current caret's type. A step whose two carets each sit
+    over two leaves is dropped, so every pair counted is reduced. A state
+    whose waiting carets alone would pass the radius is pruned: every caret
+    but the last weighs at least 1.
+    """
+    # where the current caret lies: caret 0, the rest of the left arm, the
+    # right arm, or interior before or after the root. On the left arm no
+    # caret waits: each one there chooses whether it is the root.
+    def moves(where, waiting, leaf):
+        """(type, right child is a leaf, next state or None at the end)."""
+        if where in ("L0", "LL"):
+            kind = _L0 if where == "L0" else _LL
+            return ((kind, True, ("LL", 0, False)),          # not the root
+                    (kind, False, ("before", 1, True)),
+                    (kind, True, None),                      # the root
+                    (kind, False, ("right", 0, True)),
+                    (kind, False, ("after", 1, True)))
+        if where == "right":
+            return ((_R0, True, None),
+                    (_RNI, False, ("right", 0, True)),
+                    (_RI, False, ("after", 1, True)))
+        up = ((where, waiting - 1, False) if waiting > 1 else
+              ("LL" if where == "before" else "right", 0, False))
+        return ((_I0, True, up), (_IR, False, (where, waiting, True)))
+
+    states = [("L0", 0, True), ("LL", 0, False), ("right", 0, True), ("right", 0, False)]
+    states += [(where, waiting, leaf) for where in ("before", "after")
+               for waiting in range(1, radius + 1) for leaf in (True, False)]
+    table = {state: moves(*state) for state in states}
+
+    sizes = [1] + [0] * radius  # the identity: the pair of empty trees
+    start = states[0]
+    counts = {(start, start, 0): 1}  # (neg state, pos state, weight) -> pairs
+    while counts:
+        nxt: defaultdict[tuple, int] = defaultdict(int)
+        for (neg, pos, weight), count in counts.items():
+            pos_moves = table[pos]
+            for neg_type, neg_right_leaf, neg_next in table[neg]:
+                row = _WEIGHTS[neg_type]
+                neg_cherry = neg[2] and neg_right_leaf
+                for pos_type, pos_right_leaf, pos_next in pos_moves:
+                    w = row[pos_type]
+                    if w is None or (neg_cherry and pos[2] and pos_right_leaf):
+                        continue
+                    w += weight
+                    if neg_next is None or pos_next is None:
+                        if neg_next is pos_next and w <= radius:
+                            sizes[w] += count
+                    elif w + max(neg_next[1], pos_next[1]) <= radius:
+                        nxt[neg_next, pos_next, w] += count
+        # A descent may go one caret deeper, any number of times: its bottom
+        # caret then waits too. One tree at a time, fewest waiting first, so
+        # each count is complete before it is carried deeper.
+        for side in (0, 1):
+            by_waiting: list[list[tuple]] = [[] for _ in range(radius + 1)]
+            for key in nxt:
+                where, waiting, leaf = key[side]
+                if leaf and where in ("before", "after"):
+                    by_waiting[waiting].append(key)
+            for keys in by_waiting:
+                for key in keys:
+                    where, waiting, _ = key[side]
+                    deeper = (where, waiting + 1, True)
+                    pushed = (deeper, key[1], key[2]) if side == 0 else (key[0], deeper, key[2])
+                    if key[2] + max(pushed[0][1], pushed[1][1]) > radius:
+                        continue
+                    if pushed not in nxt:
+                        by_waiting[waiting + 1].append(pushed)
+                    nxt[pushed] += nxt[key]
+        counts = nxt
+    return sizes
 
 
 class TestCaretCounts:
@@ -268,6 +357,22 @@ class TestSphereCount:
 
     def test_radius_11(self):
         assert metric_module._count_spheres(11) == SPHERES_TO_11
+
+    def test_radius_12_equals_the_searched_sphere(self):
+        assert metric_module._count_spheres(12) == SPHERES_TO_12
+
+    @pytest.mark.parametrize("radius", [*range(17), 20])
+    def test_packed_counts_equal_the_reference(self, radius):
+        assert metric_module._count_spheres(radius) == reference_count_spheres(radius)
+
+    def test_radius_0(self):
+        assert metric_module._count_spheres(0) == [1]
+
+    def test_counts_past_2_to_the_32(self):
+        # the radius-22 sphere needs 34 bits, the largest at radius 20 only 31
+        counts = metric_module._count_spheres(22)
+        assert counts == reference_count_spheres(22)
+        assert counts[20] < 2 ** 32 < counts[22]
 
     def test_standard_generators_make_no_products(self, monkeypatch):
         def refuse(a, b):

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 from pathlib import Path
 
@@ -56,6 +57,22 @@ def _names_used(code):
     return names
 
 
+def _names_reached(functions):
+    """The names used by each function, nested code included, and by every
+    library function those names reach in turn, keyed by qualified name."""
+    reached, todo = {}, list(functions)
+    while todo:
+        function = todo.pop()
+        key = f"{function.__module__}.{function.__qualname__}"
+        if key in reached:
+            continue
+        reached[key] = names = _names_used(function.__code__)
+        todo += [f for name in names
+                 if inspect.isfunction(f := function.__globals__.get(name))
+                 and f.__module__.startswith("thompsonf.")]
+    return reached
+
+
 def test_rewriting_oracle_is_independent_of_the_tree_route():
     # rewrite_to_normal_form cross-checks the tree route, so the rewriting
     # code may name nothing that the trees or group modules define
@@ -75,8 +92,13 @@ def test_sphere_count_is_independent_of_the_search():
     metric = importlib.import_module("thompsonf.metric")
     search = _top_level_names(SRC / "group.py") | {"_grow_to", "multiply"}
     assert {"multiply", "inverse", "GroupElement"} <= search
-    for name in ("_count_spheres", "word_length", "_caret_types"):
-        assert _names_used(getattr(metric, name).__code__) & search == set(), name
+    reached = _names_reached([metric._count_spheres, metric.word_length])
+    assert "thompsonf.metric._caret_types" in reached
+    # nested code counts too: only the counter's moves name the caret types,
+    # and only a comprehension in it names the weights
+    assert {"_IR", "_WEIGHTS"} <= reached["thompsonf.metric._count_spheres"]
+    for name, names in reached.items():
+        assert names & search == set(), name
 
 
 def test_sweep_and_metric_paths_grow_no_ball():
