@@ -8,6 +8,8 @@ with the relations x_i^-1 x_j x_i = x_{j+1} (i < j). The two always
 agree, and each normal form pins down one reduced tree pair.
 """
 
+import sys
+
 from thompsonf import (
     element_of_word,
     format_pair,
@@ -22,7 +24,8 @@ for text in ("x1 x0", "x0^-1 x1 x0", "x0 x0^-1", "x2 x1", "x1 x3 x1^-1"):
     word = parse_word(text)
     via_trees = element_of_word(word).normal_form()
     via_rewriting = rewrite_to_normal_form(word)
-    assert via_trees == via_rewriting
+    if via_trees != via_rewriting:
+        sys.exit(f"the two routes disagree on {text}: {via_trees} != {via_rewriting}")
     print(f"{text:>14}  ->  {str(via_trees) or '(identity)'}")
 
 # the bijection: normal form -> reduced pair -> normal form

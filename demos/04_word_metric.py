@@ -1,13 +1,14 @@
-"""The word metric: sphere sizes by caret weights, exact lengths by
-search, caret-count bounds.
+"""The word metric: sphere sizes and exact lengths by caret weights,
+checked by search, and caret-count bounds.
 
 The caret count N(g) of the reduced pair brackets the word length of a
-non-identity element: N - 2 <= |g| <= 4N - 4. The oracle counts sphere
-sizes from Fordham's caret weights without building an element, and
-computes exact lengths by breadth-first search over the Cayley graph on
-x0, x1 and their inverses, which is feasible out to radius 9 at desk
-scale. The time printed under the table is the count's; the first
-exact length grows the ball.
+non-identity element: N - 2 <= |g| <= 4N - 4. Fordham's caret weights
+give |g| exactly at any size (``thompsonf.lengths.word_length``), and the
+oracle counts sphere sizes from the same weights without building an
+element. Breadth-first search over the Cayley graph on x0, x1 and their
+inverses checks them, and is feasible out to radius 9 at desk scale. The
+time printed under the table is the count's; the first search length
+grows the ball.
 """
 
 import time
@@ -20,6 +21,7 @@ from thompsonf import (
     length_bounds,
     parse_word,
 )
+from thompsonf.lengths import word_length
 
 oracle = WordMetricOracle()
 
@@ -33,16 +35,22 @@ for radius, count in enumerate(spheres):
 print(f"(built in {time.time() - start:.2f}s)")
 
 # exact length versus the caret-count bracket
-print("\nelement          N   bracket     exact")
+print("\nelement          N   bracket     search  weights")
 for text in ("x0", "x1", "x0^-1 x1 x0", "x0 x1^-1 x0 x1", "x1 x1 x0^-1"):
     g = element_of_word(parse_word(text))
     lower, upper = length_bounds(g)
     exact = oracle.exact_length(g)
-    print(f"{text:<15} {g.caret_count:>2}   ({lower:>2}, {upper:>2})   {exact}")
+    print(f"{text:<15} {g.caret_count:>2}   ({lower:>2}, {upper:>2})   "
+          f"{exact!s:>6}  {word_length(g):>7}")
 
 # x2 needs three letters even though it is a generator of the
 # infinite presentation: the search confirms no shorter spelling
 print("\n|x2| =", oracle.exact_length(generator(2), 3))
+
+# far outside the searched ball the weights still read the length:
+# |x_k| = 2k - 1, and the search to radius 9 finds nothing
+print("|x50| =", word_length(generator(50)), "by the weights;",
+      "by search:", oracle.exact_length(generator(50)))
 
 # every element of the radius-6 ball respects the bounds
 report = check_bounds_on_ball(6, oracle)

@@ -4,14 +4,16 @@ The package provides the combinatorial model of the group: trees and
 reduced tree pairs, the unique normal form over the infinite generating
 set and its bijection with reduced pairs, group operations through
 common refinement, caret-count metric estimates, exact word lengths from
-caret weights with a breadth-first oracle as their check, shift and clone
-maps, embeddings of F x Z and F^m x Z^n, and a distortion measurement harness.
+caret weights (``lengths``) checked by a breadth-first oracle, shift and
+clone maps, embeddings of F x Z and F^m x Z^n, and a distortion harness.
 
 Values are immutable and the functions on them pure, so they may be
 shared across threads. The only module-level values are immutable tables,
 such as the comb table in ``trees``. A WordMetricOracle grows its cached
 ball under a lock, so one oracle may be shared across threads as well.
 """
+
+from types import ModuleType as _ModuleType
 
 from .trees import (
     LEAF,
@@ -90,7 +92,6 @@ __version__ = "0.1.0"
 
 # the exports are the names imported above, less the submodules they bind
 __all__ = sorted(
-    name for name in dir()
-    if not name.startswith("_")
-    and name not in ("trees", "words", "group", "embeddings", "metric")
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 )

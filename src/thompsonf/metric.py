@@ -1,13 +1,9 @@
-"""Caret-count metric estimates, exact word lengths, a breadth-first
-word-metric oracle, and the distortion measurement harness.
+"""Caret-count metric estimates, a breadth-first word-metric oracle, and
+the distortion measurement harness.
 
 The caret count N(g) of the reduced pair pins the word length of any
-non-identity element between N(g) - 2 and 4 N(g) - 4. ``word_length``
-reads |g| on x0, x1 off the pair with B. Fordham's caret weights, "Minimal
-length elements of Thompson's group F", Geom. Dedicata 99 (2003). Sphere
-sizes are counted from the same table without building an element, in the
-manner of M. Elder, É. Fusy and A. Rechnitzer, "Counting elements and
-geodesics in Thompson's group F", J. Algebra 324 (2010).
+non-identity element between N(g) - 2 and 4 N(g) - 4; exact lengths and
+sphere sizes come from ``lengths``.
 
 Balls come from breadth-first search on x0, x1 and their inverses only,
 keyed by canonical reduced pairs, to a capped radius (default 9); the
@@ -41,7 +37,6 @@ from __future__ import annotations
 import csv
 import random
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -49,6 +44,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 from .embeddings import embed_f_z, embed_product, is_prefix_free
 from .group import GroupElement, _element, generator, identity, inverse, multiply
+from .lengths import _count_spheres, word_length
 from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
                     _node, _reduce_hits)
 
@@ -82,173 +78,6 @@ class MetricEstimate:
     lower: int
     upper: int
     exact: int | None = None
-
-    def __post_init__(self):
-        if self.exact is not None and self.caret_count > 0:
-            if not self.lower <= self.exact <= self.upper:
-                raise ValueError("exact length escapes the caret-count bracket")
-
-
-# --- Fordham's caret weights ----------------------------------------------
-
-# Caret types. Number a tree's carets 0..N-1 in infix order. L0 is caret 0
-# and LL any other caret on the left arm: the root and its chain of left
-# children. The right arm is the root's right child and its chain of right
-# children; on it R0 is the caret whose right child is a leaf, RI one whose
-# next caret is interior (on neither arm), and RNI any other. An interior
-# caret is I0 when its right child is a leaf and IR when it is a caret.
-_L0, _LL, _R0, _RNI, _RI, _I0, _IR = range(7)
-
-# |g| is the sum over k of the weight of caret k of the negative tree paired
-# with caret k of the positive tree. None marks the 8 pairs no reduced pair
-# has: the last caret is R0 or the root, and R0 is always the last.
-_WEIGHTS = (
-    # L0   LL    R0    RNI   RI    I0    IR
-    (0,    None, None, None, None, None, None),  # L0
-    (None, 2,    1,    1,    1,    2,    2),     # LL
-    (None, 1,    0,    None, None, None, None),  # R0
-    (None, 1,    None, 2,    2,    1,    3),     # RNI
-    (None, 1,    None, 2,    2,    3,    3),     # RI
-    (None, 2,    None, 1,    3,    2,    4),     # I0
-    (None, 2,    None, 3,    3,    4,    4),     # IR
-)
-
-_LEFT_ARM, _RIGHT_ARM, _INTERIOR = range(3)
-
-
-def _caret_types(t: Tree) -> list[int]:
-    """The type of each caret of t in infix order, found by position: trees
-    share subtrees, so one object may stand at two positions."""
-    types: list[int] = []
-    above: list[tuple[Tree, int]] = []  # carets whose left subtree is being read
-    node, region = t, _LEFT_ARM
-    while True:
-        while node.left is not None:
-            above.append((node, region))
-            node = node.left
-            if region != _LEFT_ARM:
-                region = _INTERIOR
-        if not above:
-            return types
-        node, region = above.pop()
-        right = node.right
-        if region == _LEFT_ARM:
-            types.append(_LL if types else _L0)
-            region = _INTERIOR if above else _RIGHT_ARM  # the root is read last of the arm
-        elif region == _RIGHT_ARM:
-            types.append(_R0 if right.left is None else
-                         _RNI if right.left.left is None else _RI)
-        else:
-            types.append(_I0 if right.left is None else _IR)
-        node = right
-
-
-def word_length(g: GroupElement) -> int:
-    """|g| on the generators x0, x1: Fordham's caret weights summed over the
-    reduced pair, in time linear in the caret count."""
-    return sum(_WEIGHTS[a][b] for a, b in
-               zip(_caret_types(g.pair.neg), _caret_types(g.pair.pos)))
-
-
-def _count_spheres(radius: int) -> list[int]:
-    """Element counts at each word length 0..radius on x0, x1, counted over
-    reduced tree pairs by caret weight without building any element.
-
-    Both trees are read in infix order, one caret of each per step. After a
-    caret whose right child is a caret, the reading descends the left chain
-    of that child and visits its bottom caret, while the carets above it
-    wait; after a caret whose right child is a leaf, the next caret is the
-    last one waiting. A tree's state is (where its current caret lies, the
-    carets waiting, whether the current caret's left child is a leaf), and a
-    move fixes the current caret's type. A step whose two carets each sit
-    over two leaves is dropped, so every pair counted is reduced.
-
-    Each (neg state, pos state) pair packs its counts in one int, S bits a
-    weight, so a move of weight w is a shift by w S and a mask, which prunes
-    the counts the pair's waiting carets would carry past the radius: every
-    caret but the last weighs at least 1. At radius r, S is the bit length
-    of (25 (r + 1)^2)^(r + 2), and no slot carries (proved, not just
-    checked): a count after k steps is at most (25 (r + 1)^2)^k, as a step
-    takes one of at most 25 move pairs and at most r + 1 descent depths in
-    each tree; k <= r + 1, as every step but the first and last weighs at
-    least 1; and a sphere size is at most 4^r.
-    """
-    # where the current caret lies: caret 0, the rest of the left arm, the
-    # right arm, or interior before or after the root. On the left arm no
-    # caret waits: each one there chooses whether it is the root.
-    def moves(where, waiting, leaf):
-        """(type, right child is a leaf, next state or None at the end)."""
-        if where in ("L0", "LL"):
-            kind = _L0 if where == "L0" else _LL
-            return ((kind, True, ("LL", 0, False)),          # not the root
-                    (kind, False, ("before", 1, True)),
-                    (kind, True, None),                      # the root
-                    (kind, False, ("right", 0, True)),
-                    (kind, False, ("after", 1, True)))
-        if where == "right":
-            return ((_R0, True, None),
-                    (_RNI, False, ("right", 0, True)),
-                    (_RI, False, ("after", 1, True)))
-        up = ((where, waiting - 1, False) if waiting > 1 else
-              ("LL" if where == "before" else "right", 0, False))
-        return ((_I0, True, up), (_IR, False, (where, waiting, True)))
-
-    states = [("L0", 0, True), ("LL", 0, False), ("right", 0, True), ("right", 0, False)]
-    states += [(where, waiting, leaf) for where in ("before", "after")
-               for waiting in range(1, radius + 2) for leaf in (True, False)]
-    # State numbers put one caret deeper two on and the end last; pair (a, b)
-    # is a n + b. Masks drop waits past the radius and pairs half read.
-    index = {state: i for i, state in enumerate(states)}
-    end = len(states)
-    table = [[(kind, state[2] and right_leaf, end if to is None else index[to])
-              for kind, right_leaf, to in moves(*state)] for state in states] + [[]]
-    states.append(("end", 0, False))
-    n = len(states)
-    width = ((25 * (radius + 1) ** 2) ** (radius + 2)).bit_length()
-    shifts = [w * width for w in range(5)]
-    fits = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)] + [0]
-    masks = [fits[radius - max(a[1], b[1])] if (a[0] == "end") == (b[0] == "end") else 0
-             for a in states for b in states]
-    descends = [waiting if leaf and where in ("before", "after") else -1
-                for where, waiting, leaf in states]
-    sides = ((2 * n, [a for a in descends for _ in states]), (2, descends * n))
-
-    read = 1  # the packed counts of the pairs read to the end: the identity
-    built: list[list[tuple[int, int, int]] | None] = [None] * (n * n)
-    counts = {0: 1}  # pair -> packed counts
-    while counts:
-        nxt: defaultdict[int, int] = defaultdict(int)
-        for pair, packed in counts.items():
-            found = built[pair]
-            if found is None:  # (shift, next pair, mask) of each move pair that can finish
-                neg, pos = divmod(pair, n)
-                found = built[pair] = [
-                    (shifts[w], to, masks[to])
-                    for neg_type, neg_cherry, neg_next in table[neg]
-                    for pos_type, pos_cherry, pos_next in table[pos]
-                    if (w := _WEIGHTS[neg_type][pos_type]) is not None
-                    and not (neg_cherry and pos_cherry)
-                    and masks[to := neg_next * n + pos_next] >> w * width]
-            for shift, to, mask in found:
-                if moved := (packed << shift) & mask:
-                    nxt[to] += moved
-        read += nxt.pop(end * n + end, 0)
-        # A descent may go one caret deeper, any number of times: its bottom
-        # caret then waits too. One tree at a time, fewest waiting first, so
-        # each count is complete before it is carried deeper.
-        for step, depth in sides:
-            by_waiting: list[list[int]] = [[] for _ in range(radius + 2)]
-            for pair in nxt:
-                if depth[pair] >= 0:
-                    by_waiting[depth[pair]].append(pair)
-            for pairs in by_waiting:
-                for pair in pairs:
-                    if moved := nxt[pair] & masks[pair + step]:
-                        if pair + step not in nxt:
-                            by_waiting[depth[pair + step]].append(pair + step)
-                        nxt[pair + step] += moved
-        counts = nxt
-    return [read >> w * width & fits[0] for w in range(radius + 1)]
 
 
 class LevelStats(NamedTuple):
@@ -527,6 +356,8 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
     ``oracle`` (only its cap) and ``search_radius`` go to ``metric_estimate``."""
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    if spec.n >= 1 and max_z < 1:
+        raise ValueError("max_z must be at least 1 when the spec has integer factors")
     if search_radius is not None:
         _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
     rng = random.Random(seed)

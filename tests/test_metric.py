@@ -29,6 +29,7 @@ from thompsonf import (
     generator,
     identity,
     inverse,
+    is_reduced,
     length_bounds,
     metric_estimate,
     multiply,
@@ -40,8 +41,9 @@ from thompsonf import (
 )
 from thompsonf import group as group_module
 from thompsonf import metric as metric_module
-from thompsonf.metric import (_I0, _IR, _L0, _LL, _R0, _RI, _RNI, _WEIGHTS, _randbelow,
-                              random_element, random_tree, word_length)
+from thompsonf.lengths import (_I0, _IR, _L0, _LL, _R0, _RI, _RNI, _WEIGHTS, _caret_types,
+                               _count_spheres, word_length)
+from thompsonf.metric import _randbelow, random_element, random_tree
 
 from conftest import el, large_elements
 
@@ -312,9 +314,9 @@ class TestWordLength:
         assert len(ball) == 88_253
         assert [g for g, length in ball.items() if word_length(g) != length] == []
         # the ball pairs caret types in every cell the table gives a weight
-        types = metric_module._caret_types
-        used = {cell for g in ball for cell in zip(types(g.pair.neg), types(g.pair.pos))}
-        weighted = {(a, b) for a, row in enumerate(metric_module._WEIGHTS)
+        used = {cell for g in ball
+                for cell in zip(_caret_types(g.pair.neg), _caret_types(g.pair.pos))}
+        weighted = {(a, b) for a, row in enumerate(_WEIGHTS)
                     for b, w in enumerate(row) if w is not None}
         assert used == weighted and len(weighted) == 29
 
@@ -338,6 +340,21 @@ class TestWordLength:
             lower, upper = length_bounds(g)
             assert lower <= length <= upper
 
+    def test_census_of_small_pairs(self):
+        # every reduced pair of N-caret trees, N = 2..6: the lengths' extremes
+        # lie inside the caret bracket, whose top 4N - 4 is not reached
+        trees = [[LEAF]]
+        for n in range(1, 7):
+            trees.append([caret(left, right) for k in range(n)
+                          for left in trees[k] for right in trees[n - 1 - k]])
+        for n, count in zip(range(2, 7), (2, 14, 108, 930, 8700)):
+            pairs = [TreePair(neg, pos) for neg in trees[n] for pos in trees[n]]
+            lengths = [word_length(GroupElement.from_pair(pair))
+                       for pair in pairs if is_reduced(pair)]
+            assert len(lengths) == count, n
+            expected = (1, 1) if n == 2 else (n - 2, 4 * n - 8)
+            assert (min(lengths), max(lengths)) == expected, n
+
     def test_sampler_trees_are_read_by_position(self):
         # the sampler's trees share the cherry and the two-caret combs between
         # positions; the parsed copy shares nothing but leaves
@@ -356,21 +373,21 @@ class TestSphereCount:
         assert oracle10.sphere_sizes(10) == spheres == SPHERES_TO_11[:11]
 
     def test_radius_11(self):
-        assert metric_module._count_spheres(11) == SPHERES_TO_11
+        assert _count_spheres(11) == SPHERES_TO_11
 
     def test_radius_12_equals_the_searched_sphere(self):
-        assert metric_module._count_spheres(12) == SPHERES_TO_12
+        assert _count_spheres(12) == SPHERES_TO_12
 
     @pytest.mark.parametrize("radius", [*range(17), 20])
     def test_packed_counts_equal_the_reference(self, radius):
-        assert metric_module._count_spheres(radius) == reference_count_spheres(radius)
+        assert _count_spheres(radius) == reference_count_spheres(radius)
 
     def test_radius_0(self):
-        assert metric_module._count_spheres(0) == [1]
+        assert _count_spheres(0) == [1]
 
     def test_counts_past_2_to_the_32(self):
         # the radius-22 sphere needs 34 bits, the largest at radius 20 only 31
-        counts = metric_module._count_spheres(22)
+        counts = _count_spheres(22)
         assert counts == reference_count_spheres(22)
         assert counts[20] < 2 ** 32 < counts[22]
 
@@ -395,10 +412,6 @@ class TestBoundsOnBall:
 
 
 class TestMetricEstimate:
-    def test_exact_within_bracket_enforced(self):
-        with pytest.raises(ValueError):
-            MetricEstimate(caret_count=3, lower=1, upper=8, exact=20)
-
     def test_estimate_with_lookup(self, oracle):
         est = metric_estimate(generator(2), oracle=oracle, search_radius=4)
         assert est == MetricEstimate(4, 2, 12, 3)
@@ -592,6 +605,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="^samples must be nonnegative$"):
             distortion_sweep(f_z_spec(), -3)
         assert distortion_sweep(f_z_spec(), 0) == []
+
+    @pytest.mark.parametrize("max_z", [0, -2])
+    def test_empty_integer_range_rejected_before_any_draw(self, monkeypatch, max_z):
+        monkeypatch.setattr(metric_module, "random_element", None)  # a draw fails
+        with pytest.raises(ValueError, match="^max_z must be at least 1"):
+            distortion_sweep(f_z_spec(), 3, max_z=max_z)
+        # with no integer factor max_z is never read
+        assert len(distortion_sweep(product_spec(("",), 0), 2, max_z=max_z)) == 2
 
     def test_radius_checked_before_any_draw(self, monkeypatch):
         # also when no image needs it: none is drawn, or each is the identity

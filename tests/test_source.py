@@ -3,7 +3,6 @@
 import ast
 import contextlib
 import importlib
-import inspect
 import io
 from pathlib import Path
 
@@ -11,9 +10,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "thompsonf"
 
 
 def test_library_checks_survive_optimized_mode():
-    # python -O strips assert statements, so no library check may be one
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
+    # python -O strips assert statements, so no library or demo check may be one
+    sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert len(sources) > 12
     asserts = [f"{path.name}:{node.lineno}" for path in sources
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Assert)]
@@ -57,22 +56,6 @@ def _names_used(code):
     return names
 
 
-def _names_reached(functions):
-    """The names used by each function, nested code included, and by every
-    library function those names reach in turn, keyed by qualified name."""
-    reached, todo = {}, list(functions)
-    while todo:
-        function = todo.pop()
-        key = f"{function.__module__}.{function.__qualname__}"
-        if key in reached:
-            continue
-        reached[key] = names = _names_used(function.__code__)
-        todo += [f for name in names
-                 if inspect.isfunction(f := function.__globals__.get(name))
-                 and f.__module__.startswith("thompsonf.")]
-    return reached
-
-
 def test_rewriting_oracle_is_independent_of_the_tree_route():
     # rewrite_to_normal_form cross-checks the tree route, so the rewriting
     # code may name nothing that the trees or group modules define
@@ -85,20 +68,19 @@ def test_rewriting_oracle_is_independent_of_the_tree_route():
         assert _names_used(getattr(words, name).__code__) & tree_route == set(), name
 
 
-def test_sphere_count_is_independent_of_the_search():
-    # the caret-weight count and word_length are checked against the
-    # breadth-first search, so they may name nothing the group module
-    # defines, nor the search's growth or its products
-    metric = importlib.import_module("thompsonf.metric")
-    search = _top_level_names(SRC / "group.py") | {"_grow_to", "multiply"}
-    assert {"multiply", "inverse", "GroupElement"} <= search
-    reached = _names_reached([metric._count_spheres, metric.word_length])
-    assert "thompsonf.metric._caret_types" in reached
-    # nested code counts too: only the counter's moves name the caret types,
-    # and only a comprehension in it names the weights
-    assert {"_IR", "_WEIGHTS"} <= reached["thompsonf.metric._count_spheres"]
-    for name, names in reached.items():
-        assert names & search == set(), name
+def test_exact_lengths_import_only_trees():
+    # word_length and the sphere counter are checked against the breadth-first
+    # search, so their module may import nothing of the library but trees
+    path = SRC / "lengths.py"
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else [a.name for a in node.names]
+            named |= {"." * node.level + module for module in modules}
+    assert {name for name in named if name.startswith(".")} == {".trees"}
+    assert {name for name in named if name.split(".")[0] == "thompsonf"} == set()
 
 
 def test_sweep_and_metric_paths_grow_no_ball():
@@ -159,6 +141,15 @@ def test_star_import_binds_the_exports():
     exec("from thompsonf import *", namespace)
     assert set(namespace) - {"__builtins__"} == EXPORTS
     assert len(EXPORTS) == 62
+
+
+def test_readme_names_every_module():
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    named = {line.split("`")[1] for line in table.splitlines() if line.startswith("| `")}
+    modules = {f"thompsonf.{path.stem}" for path in SRC.glob("*.py")
+               if path.stem != "__init__"}
+    assert named == modules != set()
 
 
 def test_readme_quick_start_runs():
