@@ -41,7 +41,8 @@ from typing import Sequence
 
 # power is unused here but stays importable: perfbench's traced run
 # rebinds embeddings.power by name
-from .group import GroupElement, _element, generator, inverse, multiply, power
+from .group import (GroupElement, _check_carets, _element, generator, inverse,
+                    multiply, power)
 from .trees import LEAF, Tree, TreePair, _node, combs, graft_at, validate_address
 from .words import NormalForm, _spine_slots
 
@@ -97,6 +98,7 @@ def embed_f_z(w: GroupElement, t: int) -> GroupElement:
     w's trees at its leaf "11". The two commute, the map is a
     homomorphism, and N(image) = N(w) + |t| + 2 when w != 1 and t != 0.
     """
+    _check_carets(abs(t), f"Z height {t}")
     return _element(TreePair(*_z_level(t, w.pair.neg, w.pair.pos)))
 
 
@@ -150,6 +152,7 @@ def embed_product(
     docstring; each address is validated once, by is_prefix_free.
     """
     addresses = tuple(addresses)
+    _check_carets(sum(map(abs, z_factors)), "the Z heights")
     if not is_prefix_free(addresses):
         raise ValueError("addresses must be pairwise prefix-free")
     if len(addresses) != len(f_factors) + 1:

@@ -8,12 +8,19 @@ of the infinite presentation:
     multiply(multiply(inverse(x0), x1), x0) == x2
 
 which makes ``multiply(a, b)`` agree with concatenating words a then b.
+
+A word becomes an element with no product at all: each letter rotates one
+caret of a pair diagram held in flat index arrays (element_of_word), so a
+word of n letters in runs of indices i_1, i_2, ... costs O(n + i_1 + i_2 +
+...). ``power`` and the embeddings' Z levels refuse, before building
+anything, elements that could need more than ``_MAX_CARETS`` carets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter
 from typing import Iterable
 
 # union_tree is unused here; perfbench's traced run rebinds it by name
@@ -37,6 +44,20 @@ from .words import (
     normal_form_to_tree_pair,
     tree_pair_to_normal_form,
 )
+
+
+_MAX_CARETS = 1_000_000  # most carets power and the embeddings' Z levels may build
+
+
+class CaretLimitError(ValueError):
+    """An element that would need more than ``_MAX_CARETS`` carets."""
+
+
+def _check_carets(carets: int, what: str) -> None:
+    """Raise CaretLimitError, before anything is built, over the cap."""
+    if carets > _MAX_CARETS:
+        raise CaretLimitError(f"{what} could need {carets} carets, "
+                              f"more than _MAX_CARETS = {_MAX_CARETS}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +113,7 @@ def identity() -> GroupElement:
 
 def generator(index: int) -> GroupElement:
     """The generator x_index: the comb pair (R_2, L_2) under a right spine of
-    index carets, built as every run is (_run_power), in O(index) new nodes."""
+    index carets, built by _run_power in O(index) new nodes."""
     return _run_power(Letter(index, 1), 1)
 
 
@@ -135,8 +156,10 @@ def inverse(a: GroupElement) -> GroupElement:
 
 
 def power(a: GroupElement, k: int) -> GroupElement:
+    """a^k by repeated squaring; |k| N(a) bounds every product it makes."""
+    _check_carets(abs(k) * a.caret_count, f"power {k}")
     if k < 0:
-        return power(inverse(a), -k)
+        a, k = inverse(a), -k
     result = identity()
     base = a
     while k:
@@ -157,12 +180,76 @@ def commutator_is_trivial(a: GroupElement, b: GroupElement) -> bool:
 
 
 def element_of_word(word: Iterable[Letter]) -> GroupElement:
-    """Product of the generator diagrams named by the word: one product per
-    run of k letters x_i^{+-1}, by x_i^{+-k} (_run_power: O(i) new nodes)."""
-    acc = identity()
-    for letter, run in groupby(word):
-        acc = multiply(acc, _run_power(letter, sum(1 for _ in run)))
-    return acc
+    """The element of a word, built letter by letter on one pair diagram.
+
+    Right multiplication by x_i rotates the caret v at depth i of the
+    negative tree's right spine, ((A B) C) -> (A (B C)), and x_i^-1 rotates
+    it back (J. Belk and K. Brown, IJAC 15, 2005), so a run x_i^{+-k} is k
+    rotations at v. Where the walk or a rotation needs a caret the diagram
+    lacks, the leaf and its partner grow one comb each for the rest of the
+    run, so at most twice per run. As in reduce_product, a growth caret
+    never cancels: only the run's first new caret can lie over two leaves,
+    and cancelling a caret can expose only its parent. The diagram lives in
+    flat index arrays, private to the call, and both trees are frozen into
+    Trees once, at the end. Cost: O(i + k) per run plus the carets
+    cancelled, and O(N) to freeze; nothing recurses.
+    """
+    # node 0 is the negative root and node 1 the positive; a leaf has left -1,
+    # and its partner is the leaf with the same number in the other tree
+    left, right, up, partner = [-1, -1], [-1, -1], [-1, -1], [1, 0]
+
+    def grow(leaf, g, down, side):
+        """Grow the negative ``leaf`` and its partner into combs of g carets
+        along ``down``: each level hangs a side leaf and a down child."""
+        twin = partner[leaf]
+        for s in range(len(left), len(left) + 4 * g, 4):
+            d, s2, d2 = s + 1, s + 2, s + 3  # one int per node, shared by the arrays
+            down[leaf], side[leaf], down[twin], side[twin] = d, s, d2, s2
+            down += -1, -1, -1, -1
+            side += -1, -1, -1, -1
+            up.extend((leaf, leaf, twin, twin))
+            partner.extend((s2, d2, s, d))
+            leaf, twin = d, d2
+
+    for (index, sign), run in groupby(word, attrgetter("index", "sign")):
+        v = 0  # walk down the right spine to depth index
+        if left[v] < 0:
+            grow(v, index + 1, right, left)
+        for g in range(index, 0, -1):
+            v = right[v]
+            if left[v] < 0:
+                grow(v, g, right, left)
+        down, side = (left, right) if sign > 0 else (right, left)
+        first = p = down[v]
+        c = side[v]
+        # each letter: v = ((a b) c) -> (a (b c)), mirrored for x_i^-1
+        for g in range(len(list(run)), 0, -1):
+            if left[p] < 0:
+                grow(p, g, down, side)
+            a = down[p]
+            down[p], side[p], up[c] = side[p], c, p
+            p, c = a, p  # v's children now, written back after the run
+        down[v], side[v], up[p], up[c] = p, c, v, v
+        c = first
+        while c >= 0:  # cancel c while its leaves' partners are siblings too
+            a, b = left[c], right[c]
+            if left[a] >= 0 or left[b] >= 0 or up[partner[a]] != up[partner[b]]:
+                break
+            q = up[partner[a]]
+            left[c] = right[c] = left[q] = right[q] = -1
+            partner[c], partner[q] = q, c
+            c = up[c]
+    shape, todo = bytearray(), [1, 0]
+    while todo:  # both trees in preorder, the negative first: 1 a caret, 0 a leaf
+        v = todo.pop()
+        shape.append(left[v] >= 0)
+        if left[v] >= 0:
+            todo += right[v], left[v]
+    del left, right, up, partner  # the collector need not walk them during the build
+    stack = []
+    for caret in reversed(shape):  # a caret's left then right subtree lie on top
+        stack.append(_node(stack.pop(), stack.pop()) if caret else LEAF)
+    return _element(TreePair(stack[1], stack[0]))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import shlex
 from pathlib import Path
 
@@ -227,6 +228,13 @@ class TestErrors:
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_caret_cap_is_an_error_that_names_it(self, capsys):
+        for argv, what in [(("pow", "x0", "--pow", "500001"), "power 500001 could need 1000002"),
+                           (("embed-phi", "x0", "1000001"), "Z height 1000001 could need 1000001"),
+                           (("embed-psi", "--z", "1000000,1"), "the Z heights could need 1000001")]:
+            assert run(capsys, *argv) == (
+                1, "", f"error: {what} carets, more than _MAX_CARETS = 1000000\n")
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         path = tmp_path / "nf.txt"
         assert main(["nf", "x1 x0", "--out", str(path)]) == 0
@@ -257,6 +265,17 @@ def test_readme_examples_print_their_comments(capsys):
             assert out == comment + "\n", line
         checked.append(command.split()[1])
     assert checked == ["nf", "mul", "inv", "pow", "metric", "metric"]
+
+
+def _random_word(seed, letters, max_index=4):
+    """A word of ``letters`` letters over x0..x_max_index and inverses."""
+    rng = random.Random(seed)
+    return " ".join(f"x{rng.randrange(max_index + 1)}{rng.choice(('', '^-1'))}"
+                    for _ in range(letters))
+
+
+def _golden_id(argv):
+    return " ".join(a if len(a) <= 40 else f"<{a.count('x')} letters>" for a in argv)
 
 
 # sha256 of "exit code NUL stdout NUL stderr" per invocation: CLI output is
@@ -312,10 +331,17 @@ GOLDEN = [
      "9abd92e1fb410336786118df24fe56e4e3aa5eeb4a805f9f3fadf61988e59140"),
     (("frobnicate",),
      "dfa9b0b73929df02b68318b571ae5d521713649c74fed927de55d7fa576d2b16"),
+    # long words, so the word route is pinned byte for byte too
+    (("nf", _random_word(1, 2000)),
+     "1f4c9d4937a0b8b7e3324d9a7ee59928f05905673fc046233146c6fe6693b1d6"),
+    (("render", _random_word(2, 300)),
+     "ce21ddc3a70451aa2dcd55c578ea713230f186e54cc9883343307ba05413b463"),
+    (("mul", _random_word(3, 500), _random_word(4, 500)),
+     "2398be5d8d107d799c08abc530bed0fc78e1a62f0040ad24f1ec2b0d0dc79c22"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[_golden_id(a) for a, _ in GOLDEN])
 def test_cli_bytes_unchanged(capsys, monkeypatch, argv, digest):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this
     code, out, err = run(capsys, *argv)

@@ -325,6 +325,25 @@ class TestProductEmbedding:
             embed_product(("0", "11"), (generator(0), generator(1)), ())
 
 
+class TestZHeightLimit:
+    def test_heights_just_over_the_cap_raise(self, monkeypatch):
+        cap = group_module._MAX_CARETS
+        monkeypatch.setattr(embeddings_module, "combs", None)  # nothing may be built
+        with pytest.raises(group_module.CaretLimitError, match=f"Z height {-cap - 1}"):
+            embed_f_z(generator(0), -cap - 1)
+        with pytest.raises(group_module.CaretLimitError, match="the Z heights"):
+            embed_product(("0", "1"), (generator(0),), (cap // 2, -(cap // 2) - 1))
+
+    def test_heights_at_a_small_cap(self, monkeypatch):
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 5)
+        assert embed_f_z(identity(), 5).caret_count == 7
+        assert embed_product(("",), (), (2, -3)).caret_count == 2 + 2 + 3 + 2
+        with pytest.raises(group_module.CaretLimitError):
+            embed_f_z(identity(), 6)
+        with pytest.raises(group_module.CaretLimitError):
+            embed_product(("",), (), (3, -3))
+
+
 class TestDirectConstruction:
     """The grafted image pair against the clone/power/multiply route."""
 

@@ -1,11 +1,14 @@
 import gc
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thompsonf import (
     GroupElement,
+    Letter,
     NormalForm,
     Tree,
     TreePair,
@@ -30,6 +33,14 @@ from thompsonf import group as group_module
 from thompsonf.metric import random_element
 
 from conftest import el, elements, large_elements
+
+
+def fold_of_runs(word):
+    """The reference route: one product per run of k letters x_i^{+-1}."""
+    acc = identity()
+    for letter, run in groupby(word):
+        acc = multiply(acc, group_module._run_power(letter, sum(1 for _ in run)))
+    return acc
 
 
 class TestBasicLaws:
@@ -113,6 +124,27 @@ class TestPowers:
         assert len(calls) == k.bit_length() + bin(k).count("1") - 1
 
 
+class TestCaretLimit:
+    def test_power_just_over_the_cap_raises_before_building(self, monkeypatch):
+        cap = group_module._MAX_CARETS
+        calls = []
+        monkeypatch.setattr(group_module, "multiply", lambda a, b: calls.append(1))
+        z = el("x0 x1^-1")  # N = 3
+        for g, k in [(generator(0), cap // 2 + 1), (z, -(cap // 3 + 1))]:
+            with pytest.raises(group_module.CaretLimitError, match="_MAX_CARETS = 1000000"):
+                power(g, k)
+        assert calls == []
+
+    def test_power_at_a_small_cap(self, monkeypatch):
+        # |k| N(a) may reach the cap; one more carets' worth is refused
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 12)
+        assert power(generator(0), 6).caret_count == 7
+        assert power(el("x0 x1^-1"), -4).caret_count == 6
+        with pytest.raises(group_module.CaretLimitError, match="power 7 could need 14 carets"):
+            power(generator(0), 7)
+        assert power(identity(), 10 ** 9) == identity()
+
+
 class TestDeepElements:
     def test_power_of_x0_4096(self, default_recursion_limit):
         g = power(generator(0), 4096)
@@ -178,20 +210,44 @@ class TestWordRoute:
         assert element_of_word((x(1), x(0))).normal_form() == NormalForm(((0, 1), (2, 1)), ())
         assert element_of_word((x(0), xinv(0))) == identity()
 
-    @pytest.mark.parametrize("text, products", [
-        ("x0^3000", 1), ("x0 x1", 2), ("x1^-2 x1^-1 x0^2 x0^-1 x3", 4), ("x2^5 x2^-5", 2),
-    ])
-    def test_element_of_word_multiplies_once_per_run(self, text, products, monkeypatch):
-        calls, real = [], group_module.multiply
+    TEXTS = ["x0^3000", "x0 x1", "x1^-2 x1^-1 x0^2 x0^-1 x3", "x2^5 x2^-5"]
 
-        def counting(a, b):
-            calls.append(1)
-            return real(a, b)
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_element_of_word_makes_no_products(self, text, monkeypatch):
+        def forbidden(a, b):
+            raise AssertionError("element_of_word multiplied")
 
-        monkeypatch.setattr(group_module, "multiply", counting)
+        monkeypatch.setattr(group_module, "multiply", forbidden)
         g = element_of_word(parse_word(text))
-        assert len(calls) == products
         assert g.normal_form() == rewrite_to_normal_form(parse_word(text))
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_element_of_word_equals_the_fold_of_run_products(self, text):
+        assert element_of_word(parse_word(text)) == fold_of_runs(parse_word(text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 5), st.sampled_from((1, -1, -1)),
+                                   st.integers(1, 3) | st.integers(1, 40)), max_size=16))
+    def test_element_of_word_equals_letter_products_and_rewriting(self, runs):
+        word = tuple(Letter(i, sign) for i, sign, k in runs for _ in range(k))
+        g = element_of_word(word)
+        acc = identity()
+        for letter in word:
+            acc = multiply(acc, generator(letter.index) if letter.sign > 0
+                           else inverse(generator(letter.index)))
+        assert g == acc
+        assert g.normal_form() == rewrite_to_normal_form(word)
+
+    @pytest.mark.parametrize("text, nf", [
+        ("x0^100000", NormalForm(((0, 100_000),))),
+        ("x10000^90000", NormalForm(((10_000, 90_000),))),
+        # x_n ... x_1 = x_1 x_3 ... x_{2n-1}, by x_j x_i = x_i x_{j+1} for i < j
+        (" ".join(f"x{i}" for i in range(1000, 0, -1)),
+         NormalForm(tuple((2 * i + 1, 1) for i in range(1000)))),
+        ("x0^50000 x0^-50000", NormalForm()),
+    ], ids=["x0^100000", "x10000^90000", "x1000...x1", "x0^50000 x0^-50000"])
+    def test_deep_words(self, default_recursion_limit, text, nf):
+        assert element_of_word(parse_word(text)).normal_form() == nf
 
     def test_str_shows_normal_form(self):
         assert str(el("x1 x0")) == "x0 x2"
