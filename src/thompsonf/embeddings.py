@@ -32,6 +32,9 @@ other caret has a non-leaf child or lies inside a reduced part, so the
 pair is reduced as built. When every part is nontrivial (no identity F
 factor, n >= 1, every t != 0) nothing cancels and
 N(image) = skeleton carets + sum N(w_i) + sum (|t_i| + 2).
+
+``_product_builder`` plans a family's skeleton once, then builds both trees
+of each image in one pass: the sweep plans once per (validated) spec.
 """
 
 from __future__ import annotations
@@ -116,25 +119,52 @@ def _join(left: Tree, right: Tree) -> Tree:
     return LEAF if left.is_leaf and right.is_leaf else _node(left, right)
 
 
-def _skeleton(addresses: Sequence[str], parts: Sequence[Tree]) -> Tree:
-    """The minimal tree with each part at its (prefix-free) address and
-    bare leaves elsewhere. Left to right, each part climbs its address to
-    where the next address branches off, taking as left sibling the
-    subtree an earlier part left waiting at that depth."""
-    ordered = sorted(zip(addresses, parts), key=lambda item: item[0])
-    waiting: list[tuple[int, Tree]] = []  # (depth, left subtree), depths rising
-    for k, (a, t) in enumerate(ordered):
-        b = ordered[k + 1][0] if k + 1 < len(ordered) else a
+def _product_builder(addresses: tuple[str, ...]):
+    """The product embedding over a validated, prefix-free family, as a
+    function of (f_factors, z_factors). Left to right, each part climbs its
+    address to where the next address branches off, taking as left sibling
+    the subtree an earlier part left waiting at that depth. The plan holds,
+    in address order, each part's index and its climb: per caret, 0 when
+    the part is the left child, 1 when a bare leaf is, 2 when a waiting
+    subtree is."""
+    order = sorted(range(len(addresses)), key=addresses.__getitem__)
+    plan: list[tuple[int, tuple[int, ...]]] = []
+    waiting: list[int] = []  # depths of the subtrees left waiting, rising
+    for k, i in enumerate(order):
+        a = addresses[i]
+        b = addresses[order[k + 1]] if k + 1 < len(order) else a
         stop = next((d + 1 for d, (p, q) in enumerate(zip(a, b)) if p != q), 0)
+        climb = []
         for depth in range(len(a), stop, -1):
             if a[depth - 1] == "0":
-                t = _join(t, LEAF)
-            elif waiting and waiting[-1][0] == depth:
-                t = _join(waiting.pop()[1], t)
+                climb.append(0)
+            elif waiting and waiting[-1] == depth:
+                climb.append(2)
+                waiting.pop()
             else:
-                t = _join(LEAF, t)
-        waiting.append((stop, t))
-    return t
+                climb.append(1)
+        plan.append((i, tuple(climb)))
+        waiting.append(stop)
+
+    def build(f_factors: Sequence[GroupElement], z_factors: Sequence[int]) -> GroupElement:
+        _check_carets(sum(map(abs, z_factors)), "the Z heights")
+        x = y = LEAF
+        for t in reversed(z_factors):
+            x, y = _z_level(t, x, y)
+        parts = [(w.pair.neg, w.pair.pos) for w in f_factors] + [(x, y)]
+        left: list[tuple[Tree, Tree]] = []  # the subtrees left waiting
+        for i, climb in plan:
+            neg, pos = parts[i]
+            for step in climb:
+                if step == 0:
+                    neg, pos = _join(neg, LEAF), _join(pos, LEAF)
+                else:
+                    left_neg, left_pos = left.pop() if step == 2 else (LEAF, LEAF)
+                    neg, pos = _join(left_neg, neg), _join(left_pos, pos)
+            left.append((neg, pos))
+        return _element(TreePair(neg, pos))
+
+    return build
 
 
 def embed_product(
@@ -152,7 +182,6 @@ def embed_product(
     docstring; each address is validated once, by is_prefix_free.
     """
     addresses = tuple(addresses)
-    _check_carets(sum(map(abs, z_factors)), "the Z heights")
     if not is_prefix_free(addresses):
         raise ValueError("addresses must be pairwise prefix-free")
     if len(addresses) != len(f_factors) + 1:
@@ -160,12 +189,7 @@ def embed_product(
             f"need {len(f_factors) + 1} addresses for {len(f_factors)} "
             f"group factors, got {len(addresses)}"
         )
-    x = y = LEAF
-    for t in reversed(z_factors):
-        x, y = _z_level(t, x, y)
-    neg = _skeleton(addresses, [w.pair.neg for w in f_factors] + [x])
-    pos = _skeleton(addresses, [w.pair.pos for w in f_factors] + [y])
-    return _element(TreePair(neg, pos))
+    return _product_builder(addresses)(f_factors, z_factors)
 
 
 def address_interval(address: str) -> tuple[Fraction, Fraction]:

@@ -12,9 +12,11 @@ back along the edge it was reached by: one product per edge between
 spheres (33,228 to radius 9, 31,589 elements).
 
 The random sampler draws exactly what the plain recursive definition
-draws from the seed. It builds trees without recursion, sharing their
-subtrees of one and two carets, and reduces each pair from the carets
-over two leaves it recorded, in time linear in the caret count.
+draws from the seed. One routine draws each tree without recursion,
+sharing its subtrees of one and two carets, and reduces a pair as it
+draws it: the positive tree's cancelling carets are cut to leaves as
+drawn, then the negative tree is rebuilt once, in time linear in the
+caret count.
 
 The distortion sweep samples random product-group elements, embeds them,
 and records the image's caret-count bounds, and its length by the weights
@@ -42,11 +44,13 @@ from fractions import Fraction
 from itertools import islice
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .embeddings import embed_f_z, embed_product, is_prefix_free
+# embed_product is unused here but stays importable: perfbench's traced run
+# rebinds metric.embed_product by name
+from .embeddings import _product_builder, embed_f_z, embed_product, is_prefix_free
 from .group import GroupElement, _element, generator, identity, inverse, multiply
 from .lengths import _count_spheres, word_length
 from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
-                    _node, _reduce_hits)
+                    _node, _rebuild)
 
 DEFAULT_RADIUS_CAP = 9
 
@@ -240,32 +244,58 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
-def _random_shape(getrandbits, carets: int, cherries: list[int]) -> Tree:
-    """random_tree's tree, drawn in the same preorder without recursion;
-    appends the first leaf of each caret over two leaves to ``cherries``."""
+def _draw(getrandbits, carets: int, keys: set[int], cut: bool) -> tuple[Tree, list]:
+    """random_tree's tree, drawn in the same preorder without recursion and
+    sharing its subtrees of one and two carets. A caret's key packs its first
+    leaf and carets. Without ``cut`` each key goes into ``keys``; with it, a
+    caret over two leaves (or cut carets) whose key is in ``keys`` is cut to
+    a leaf. Returns the tree and the sorted spans (first, leaves, LEAF) of
+    the topmost cut carets."""
+    n = carets + 1
     done: list[Tree] = []
-    todo = [carets]  # caret counts of the subtrees still to draw; -1 joins two
+    cuts: list[tuple[int, int, Tree]] = []
+    todo = [carets]  # caret counts of the subtrees still to draw; ~key joins two
     leaf = 0  # first leaf of the next subtree
     while todo:
         c = todo.pop()
         if c > 2:
             left = _randbelow(getrandbits, c)
-            todo += (-1, c - 1 - left, left)
-        elif c == -1:
+            key = leaf * n + c
+            todo += (~key, c - 1 - left, left)
+            if not cut:
+                keys.add(key)
+        elif c < 0:
             right = done.pop()
-            done[-1] = _node(done[-1], right)
+            if cut and right is LEAF and done[-1] is LEAF and ~c in keys:
+                first, size = divmod(~c, n)
+                while cuts and cuts[-1][0] >= first:  # the cuts below this one
+                    cuts.pop()
+                cuts.append((first, size + 1, LEAF))
+            else:
+                done[-1] = _node(done[-1], right)
         elif c == 0:
             done.append(LEAF)
             leaf += 1
         else:  # a shared subtree: the cherry, or two carets with it left or right
-            on_left = c == 1 or _randbelow(getrandbits, 2)
+            left = c == 2 and _randbelow(getrandbits, 2)
             while getrandbits(1):  # randrange(1) of the cherry
                 pass
-            done.append(_CHERRY if c == 1 else
-                        _CHERRY_LEFT if on_left else _CHERRY_RIGHT)
-            cherries.append(leaf if on_left else leaf + 1)
+            at = leaf + (c == 2 and not left)  # the cherry's first leaf
+            cherry, outer = at * n + 1, leaf * n + c
+            if not cut:
+                keys.add(cherry)
+                keys.add(outer)
+            if not cut or cherry not in keys:
+                done.append(_CHERRY if c == 1 else
+                            _CHERRY_LEFT if left else _CHERRY_RIGHT)
+            elif c == 1 or outer not in keys:
+                done.append(_CHERRY if c == 2 else LEAF)
+                cuts.append((at, 2, LEAF))
+            else:
+                done.append(LEAF)
+                cuts.append((leaf, 3, LEAF))
             leaf += c + 1
-    return done[0]
+    return done[0], cuts
 
 
 def random_tree(rng: random.Random, carets: int) -> Tree:
@@ -273,7 +303,7 @@ def random_tree(rng: random.Random, carets: int) -> Tree:
     a subtree of c carets puts randrange(c) of them on its left, in preorder."""
     if carets < 0:
         raise ValueError("caret count must be nonnegative")
-    return _random_shape(rng.getrandbits, carets, [])
+    return _draw(rng.getrandbits, carets, set(), True)[0]  # no keys: nothing cut
 
 
 def random_element(rng: random.Random, max_carets: int,
@@ -282,7 +312,11 @@ def random_element(rng: random.Random, max_carets: int,
 
     The draws are randint(1, max_carets) carets, then random_tree twice.
     With ``nontrivial`` the identity is resampled away, which the
-    distortion sweep uses to keep every factor active.
+    distortion sweep uses to keep every factor active. The pair is reduced
+    as it is drawn: a positive caret whose children are leaves or cancelled
+    cancels exactly when the negative tree has a caret over the same leaves.
+    Its children's leaves are those of negative carets or single leaves, so
+    that caret splits at the same leaf.
     """
     least = 2 if nontrivial else 1  # every 1-caret pair reduces to the identity
     if max_carets < least:
@@ -290,13 +324,11 @@ def random_element(rng: random.Random, max_carets: int,
     getrandbits = rng.getrandbits
     while True:
         carets = 1 + _randbelow(getrandbits, max_carets)
-        neg_cherries, pos_cherries = [], []
-        neg = _random_shape(getrandbits, carets, neg_cherries)
-        pos = _random_shape(getrandbits, carets, pos_cherries)
-        hits = sorted(set(neg_cherries).intersection(pos_cherries))
-        pair = TreePair(*_reduce_hits(neg, pos, hits))
-        if not nontrivial or not pair.pos.is_leaf:
-            return _element(pair)
+        keys: set[int] = set()
+        neg = _draw(getrandbits, carets, keys, False)[0]
+        pos, cuts = _draw(getrandbits, carets, keys, True)
+        if not nontrivial or not pos.is_leaf:
+            return _element(TreePair(_rebuild(neg, cuts), pos))
 
 
 # --- distortion sweep ---------------------------------------------------
@@ -362,6 +394,8 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
         _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
     rng = random.Random(seed)
     out: list[DistortionSample] = []
+    if spec.kind == "psi":  # the spec validated its addresses
+        embed = _product_builder(spec.addresses)
     for _ in range(samples):
         ws = [random_element(rng, max_carets, nontrivial=True)
               for _ in range(spec.m)]
@@ -369,7 +403,7 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
         if spec.kind == "phi":
             image = embed_f_z(ws[0], ts[0])
         else:
-            image = embed_product(spec.addresses, ws, ts)
+            image = embed(ws, ts)
         norm = sum(max(w.caret_count - 2, 0) for w in ws) + sum(abs(t) for t in ts)
         estimate = metric_estimate(image, oracle=oracle, search_radius=search_radius)
         out.append(DistortionSample(spec.m, spec.n, spec.addresses, norm, estimate))

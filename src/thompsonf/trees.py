@@ -299,13 +299,9 @@ def reduce_pair(pair: TreePair) -> TreePair:
     scan and one walk per tree (see _cancel). A reduced pair comes back as is.
     """
     hits = sorted(_exposed_carets(pair.neg) & _exposed_carets(pair.pos))
-    return TreePair(*_reduce_hits(pair.neg, pair.pos, hits)) if hits else pair
-
-
-def _reduce_hits(neg: Tree, pos: Tree, hits: list[int]) -> tuple[Tree, Tree]:
-    """The reduced trees of (neg, pos), whose common exposed carets are ``hits``,
-    sorted: the positions m of carets over leaves m and m+1 in both trees."""
-    return _cancel(neg, pos, hits, _probe(pos, hits)[1]) if hits else (neg, pos)
+    if not hits:
+        return pair
+    return TreePair(*_cancel(pair.neg, pair.pos, hits, _probe(pair.pos, hits)[1]))
 
 
 def _probe(t: Tree, positions: list[int]) -> tuple[list[int], dict]:

@@ -99,21 +99,29 @@ class WordLimitError(ParseError):
 
 def parse_word(text: str) -> Word:
     """Parse the word grammar; raises ParseError with the bad position, or
-    WordLimitError for a term over a limit, before the term is expanded."""
+    WordLimitError for a term over a limit, before the term is expanded.
+    Each distinct term is read once; a repeat reuses its letter and count."""
     letters: list[Letter] = []
+    terms: dict[str, tuple[Letter, int]] = {}  # term text -> (letter, count)
+    over = f"word over _MAX_LETTERS = {_MAX_LETTERS}"
     for term in _TERMS.finditer(text):
         start = term.start()
-        m = _TERM_RE.fullmatch(text, start, term.end())
-        if m is None:
-            raise ParseError(f"bad term {term.group()!r}", start)
-        index_digits = m.group(1).lstrip("0") or "0"
-        count_digits = (m.group(3) or "1").lstrip("0") or "0"
-        if len(index_digits) > _DIGITS or (index := int(index_digits)) > _MAX_INDEX:
-            raise WordLimitError(f"index above _MAX_INDEX = {_MAX_INDEX}", start)
-        if (len(count_digits) > _DIGITS
-                or len(letters) + (count := int(count_digits)) > _MAX_LETTERS):
-            raise WordLimitError(f"word over _MAX_LETTERS = {_MAX_LETTERS}", start)
-        letters += [Letter(index, -1 if m.group(2) else 1)] * count
+        known = terms.get(term.group())
+        if known is None:
+            m = _TERM_RE.fullmatch(text, start, term.end())
+            if m is None:
+                raise ParseError(f"bad term {term.group()!r}", start)
+            index_digits = m.group(1).lstrip("0") or "0"
+            count_digits = (m.group(3) or "1").lstrip("0") or "0"
+            if len(index_digits) > _DIGITS or (index := int(index_digits)) > _MAX_INDEX:
+                raise WordLimitError(f"index above _MAX_INDEX = {_MAX_INDEX}", start)
+            if (len(count_digits) > _DIGITS
+                    or len(letters) + (count := int(count_digits)) > _MAX_LETTERS):
+                raise WordLimitError(over, start)
+            known = terms[term.group()] = (Letter(index, -1 if m.group(2) else 1), count)
+        elif len(letters) + known[1] > _MAX_LETTERS:
+            raise WordLimitError(over, start)
+        letters += [known[0]] * known[1]
     return tuple(letters)
 
 

@@ -321,6 +321,13 @@ GOLDEN = [
     (("sweep", "--embedding", "psi", "--addresses", "00,01,1", "--n", "2",
       "--radius", "9", "--samples", "300"),
      "59e1d6e2a18198deb880636949f2e70bee37746afa6ebd13d9f37ae1aa5f3341"),
+    # an unsorted family, so the skeleton's order is pinned; and the benchmark's spec
+    (("sweep", "--embedding", "psi", "--addresses", "11,0,10", "--n", "1",
+      "--samples", "300"),
+     "c5daa3cf021c217d99630eb04f647a23fa02fc04b75906e8ac5da5f0f40acfdb"),
+    (("sweep", "--embedding", "psi", "--addresses", "0,11", "--n", "1",
+      "--samples", "300"),
+     "ee6e15c98fd40830baf079c18567fee291878bb551d44bbd74f09ad615f5a869"),
     (("render", "x0 x1^2 x3^-1"),
      "bf2ecc4b33892f41eabfc48808871863bf15d2e74889865b9497e9911dbaee8a"),
     (("render", "x0 x1^2 x3^-1", "--format", "dot"),

@@ -39,8 +39,10 @@ from thompsonf import (
     shift,
     sweep_to_csv,
 )
+from thompsonf import embeddings as embeddings_module
 from thompsonf import group as group_module
 from thompsonf import metric as metric_module
+from thompsonf import trees as trees_module
 from thompsonf.lengths import (_I0, _IR, _L0, _LL, _R0, _RI, _RNI, _WEIGHTS, _caret_types,
                                _count_spheres, word_length)
 from thompsonf.metric import _randbelow, random_element, random_tree
@@ -449,12 +451,19 @@ class TestMetricEstimate:
         # radius. The psi images all lie outside it; those of 00,01,1 do so
         # by their lower bound alone, so word_length is not read for them
         images, lengths_read = [], []
-        for name, seen in (("embed_f_z", images), ("embed_product", images),
-                           ("word_length", lengths_read)):
-            def recording(*args, real=getattr(metric_module, name), seen=seen):
+
+        def record(real, seen):
+            def recording(*args):
                 seen.append(real(*args))
                 return seen[-1]
-            monkeypatch.setattr(metric_module, name, recording)
+            return recording
+
+        for name, seen in (("embed_f_z", images), ("word_length", lengths_read)):
+            monkeypatch.setattr(metric_module, name, record(getattr(metric_module, name), seen))
+        # a psi sweep embeds through the builder it makes for its spec
+        real_builder = metric_module._product_builder
+        monkeypatch.setattr(metric_module, "_product_builder",
+                            lambda addresses: record(real_builder(addresses), images))
         samples = distortion_sweep(spec, 150, seed=5, max_carets=3, max_z=2,
                                    search_radius=8)
         assert len(images) == len(samples)
@@ -508,6 +517,27 @@ class TestDrawIdentity:
             for carets in range(41):
                 assert random_tree(ours, carets) == reference_random_tree(ref, carets)
             assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("max_carets", [120, 300])
+    def test_large_elements_and_states_match_the_recursive_sampler(self, max_carets):
+        for seed in range(100):
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                g = random_element(ours, max_carets, seed % 2 == 0)
+                h = reference_random_element(ref, max_carets, seed % 2 == 0)
+                assert (g.pair.neg, g.pair.pos) == (h.pair.neg, h.pair.pos)
+            assert ours.getstate() == ref.getstate(), seed
+
+    @pytest.mark.parametrize("carets", [1, 2, 3, 50, 300])
+    def test_a_tree_drawn_twice_cuts_to_a_leaf(self, carets):
+        # every caret of the second draw cancels, up to the root caret
+        rng = random.Random(carets)
+        state, keys = rng.getstate(), set()
+        neg = metric_module._draw(rng.getrandbits, carets, keys, False)[0]
+        rng.setstate(state)
+        pos, cuts = metric_module._draw(rng.getrandbits, carets, keys, True)
+        assert caret_count(neg) == carets
+        assert pos is LEAF and cuts == [(0, carets + 1, LEAF)]
 
     def test_randbelow_is_randrange(self):
         ours, ref = random.Random(5), random.Random(5)
@@ -629,6 +659,20 @@ class TestSweep:
             distortion_sweep(f_z_spec(), 0, search_radius=99)
         with pytest.raises(ValueError, match="^samples must be nonnegative$"):
             distortion_sweep(f_z_spec(), -3, search_radius=99)
+
+    def test_sweep_plans_its_skeleton_once_and_validates_nothing(self, monkeypatch):
+        # the spec checked its addresses when it was made: the sweep plans the
+        # skeleton of this unsorted family once and checks no address again
+        spec = product_spec(("11", "0", "10"), 1)
+        calls, plans = [], []
+        monkeypatch.setattr(embeddings_module, "validate_address", calls.append)
+        monkeypatch.setattr(trees_module, "validate_address", calls.append)
+        real = metric_module._product_builder
+        monkeypatch.setattr(metric_module, "_product_builder",
+                            lambda addresses: plans.append(addresses) or real(addresses))
+        samples = distortion_sweep(spec, 60, seed=2)
+        assert len(samples) == 60
+        assert (calls, plans) == ([], [("11", "0", "10")])
 
     def test_phi_spec_names_the_address_its_image_uses(self):
         # embed_f_z always grafts at "11", so a phi spec may name no other

@@ -86,6 +86,29 @@ class TestParsing:
             assert err.value.position == position
             assert built == ([1] if position else [])
 
+    def test_repeated_terms_are_read_once_and_keep_their_positions(self, monkeypatch):
+        # a bad term fails where it first occurs; the term that takes the word
+        # over _MAX_LETTERS fails at its own start, a repeat or not
+        built, letter = [], words_module.Letter
+        monkeypatch.setattr(words_module, "Letter",
+                            lambda index, sign: built.append(index) or letter(index, sign))
+        word = parse_word("x1 x0^-2 x1 x1 x0^-2 x0^0 x0^0")
+        assert built == [1, 0, 0]  # x1, x0^-2 and x0^0, once each
+        assert word == (x(1), xinv(0), xinv(0), x(1), x(1), xinv(0), xinv(0))
+        top = words_module._MAX_LETTERS
+        head = f"x0^{top - 1} x1 "
+        cases = [("x1 x0y x1 x0y", ParseError, 3),
+                 ("x2 x10001 x2 x10001", words_module.WordLimitError, 3),
+                 (head + "x1", words_module.WordLimitError, len(head)),
+                 (head + "x2 x1", words_module.WordLimitError, len(head)),
+                 (f"x0^{top // 2} x1 x0^{top // 2} x1", words_module.WordLimitError,
+                  len(f"x0^{top // 2} x1 "))]
+        for text, error, position in cases:
+            with pytest.raises(error) as err:
+                parse_word(text)
+            assert type(err.value) is error
+            assert err.value.position == position, text
+
     def test_non_ascii_digits_are_parse_errors(self):
         # the grammar's digits are ASCII: Arabic-Indic one, two and zero
         # fail where the term starts, not as x1 or as a limit past six zeros
