@@ -4,6 +4,9 @@ Commands: nf, mul, inv, pow, metric, ball, embed-phi, embed-psi, sweep,
 render, verify. Output is deterministic for a fixed seed and flags; all
 numbers are exact integers or dyadic rationals and print in full. Exit
 status 0 on success, 1 on parse or validation failure, 2 on usage errors.
+
+``main`` builds only the parser of the command that ``argv[0]`` names; for
+help, no command or an unknown one it builds the parser of every command.
 """
 
 from __future__ import annotations
@@ -134,76 +137,78 @@ def _cmd_verify(args, out):
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    """One add_argument call, frozen: its flags and its keyword items."""
+    return flags, tuple(options.items())
+
+
+_WORD = _arg("word")
+_POW = _arg("--pow", type=int, default=1, metavar="K")
+
+# (name, function, help, arguments) per command, in the order help lists them
+COMMANDS = (
+    ("nf", _cmd_nf, "normal form of a word", (_WORD,)),
+    ("mul", _cmd_mul, "product of two words", (_arg("left"), _arg("right"))),
+    ("inv", _cmd_inv, "inverse of a word", (_WORD,)),
+    ("pow", _cmd_pow, "power of a word", (_WORD, _POW)),
+    ("metric", _cmd_metric, "caret count and word-length bounds", (
+        _WORD, _POW,
+        _arg("--radius", type=int, default=None,
+             help="also search for the exact length within this radius"))),
+    ("ball", _cmd_ball, "sphere and ball sizes of the word metric", (
+        _arg("--radius", type=int, default=3),
+        _arg("--stats", action="store_true",
+             help="print the search's work per level to stderr"))),
+    ("embed-phi", _cmd_embed_phi, "image under the F x Z embedding", (
+        _WORD, _arg("height", type=int, help="the integer factor t"))),
+    ("embed-psi", _cmd_embed_psi, "image under the product embedding", (
+        _arg("words", nargs="*", help="the m group factors"),
+        _arg("--addresses", metavar="LIST", default="", type=_addresses,
+             help="comma-separated prefix-free addresses (m+1 of them)"),
+        _arg("--z", metavar="LIST", default=None,
+             help="comma-separated integer factors"))),
+    ("sweep", _cmd_sweep, "distortion sweep CSV", (
+        _arg("--embedding", choices=("phi", "psi"), default="phi"),
+        _arg("--addresses", metavar="LIST", default=None, type=_addresses),
+        _arg("--n", type=int, default=None, help="number of integer factors (psi)"),
+        _arg("--samples", type=int, default=100),
+        _arg("--seed", type=int, default=DEFAULT_SEED),
+        _arg("--radius", type=int, default=None,
+             help="look up exact image lengths within this radius"))),
+    ("render", _cmd_render, "render the reduced tree pair", (
+        _WORD, _arg("--format", choices=("text", "dot"), default="text"))),
+    ("verify", _cmd_verify, "evaluate the presentation relators", ()),
+)
+_NAMES = tuple(name for name, *_ in COMMANDS)
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or only of the command named ``command``."""
     parser = argparse.ArgumentParser(
         prog="thompsonf",
         description="Tree pair diagram calculator for Thompson's group F",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    # one command's parser still lists every command in its usage line; the
+    # full parser sets no metavar, so its errors name the argument "command"
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_NAMES) + "}")
+    for name, func, help_text, arguments in COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write output to a file instead of stdout")
-        return p
-
-    p = add("nf", _cmd_nf, "normal form of a word")
-    p.add_argument("word")
-
-    p = add("mul", _cmd_mul, "product of two words")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("inv", _cmd_inv, "inverse of a word")
-    p.add_argument("word")
-
-    p = add("pow", _cmd_pow, "power of a word")
-    p.add_argument("word")
-    p.add_argument("--pow", type=int, default=1, metavar="K")
-
-    p = add("metric", _cmd_metric, "caret count and word-length bounds")
-    p.add_argument("word")
-    p.add_argument("--pow", type=int, default=1, metavar="K")
-    p.add_argument("--radius", type=int, default=None,
-                   help="also search for the exact length within this radius")
-
-    p = add("ball", _cmd_ball, "sphere and ball sizes of the word metric")
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--stats", action="store_true",
-                   help="print the search's work per level to stderr")
-
-    p = add("embed-phi", _cmd_embed_phi, "image under the F x Z embedding")
-    p.add_argument("word")
-    p.add_argument("height", type=int, help="the integer factor t")
-
-    p = add("embed-psi", _cmd_embed_psi, "image under the product embedding")
-    p.add_argument("words", nargs="*", help="the m group factors")
-    p.add_argument("--addresses", metavar="LIST", default="", type=_addresses,
-                   help="comma-separated prefix-free addresses (m+1 of them)")
-    p.add_argument("--z", metavar="LIST", default=None,
-                   help="comma-separated integer factors")
-
-    p = add("sweep", _cmd_sweep, "distortion sweep CSV")
-    p.add_argument("--embedding", choices=("phi", "psi"), default="phi")
-    p.add_argument("--addresses", metavar="LIST", default=None, type=_addresses)
-    p.add_argument("--n", type=int, default=None, help="number of integer factors (psi)")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--radius", type=int, default=None,
-                   help="look up exact image lengths within this radius")
-
-    p = add("render", _cmd_render, "render the reduced tree pair")
-    p.add_argument("word")
-    p.add_argument("--format", choices=("text", "dot"), default="text")
-
-    p = add("verify", _cmd_verify, "evaluate the presentation relators")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **dict(options))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # help, no command or an unknown one needs the parser of every command
+    parser = build_parser(argv[0] if argv and argv[0] in _NAMES else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
