@@ -7,10 +7,11 @@ common refinement, caret-count metric estimates, exact word lengths from
 caret weights (``lengths``) checked by a breadth-first oracle, shift and
 clone maps, embeddings of F x Z and F^m x Z^n, and a distortion harness.
 
-Values are immutable and the functions on them pure, so they may be
-shared across threads. The only module-level values are immutable tables,
-such as the comb table in ``trees``. A WordMetricOracle grows its cached
-ball under a lock, so one oracle may be shared across threads as well.
+No object changes after it is made, nothing takes a lock, and the
+functions are pure, so anything may be shared across threads. The only
+module-level values are immutable tables, such as the comb table in
+``trees``. A WordMetricOracle counts its sphere sizes when it is made and
+searches afresh on each ``ball`` or ``exact_length`` call.
 """
 
 from types import ModuleType as _ModuleType

@@ -54,6 +54,7 @@ def shift(g: GroupElement, k: int = 1) -> GroupElement:
     """k-fold shift: every normal form index rises by k; N grows by k."""
     if k < 0:
         raise ValueError("shift amount must be nonnegative")
+    _check_carets(g.caret_count + k, f"shift {k}")
     return clone_map("1" * k, g)
 
 
@@ -79,6 +80,7 @@ def z_generator(i: int) -> GroupElement:
     """The element x_{2i} x_{2i+1}^-1; distinct i give commuting copies of Z."""
     if i < 0:
         raise ValueError("index must be nonnegative")
+    _check_carets(2 * i + 3, f"z_generator({i})")  # the larger factor's carets
     return multiply(generator(2 * i), inverse(generator(2 * i + 1)))
 
 

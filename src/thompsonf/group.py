@@ -12,8 +12,10 @@ which makes ``multiply(a, b)`` agree with concatenating words a then b.
 A word becomes an element with no product at all: each letter rotates one
 caret of a pair diagram held in flat index arrays (element_of_word), so a
 word of n letters in runs of indices i_1, i_2, ... costs O(n + i_1 + i_2 +
-...). ``power`` and the embeddings' Z levels refuse, before building
-anything, elements that could need more than ``_MAX_CARETS`` carets.
+...). ``generator``, ``power``, ``from_normal_form``, the shift and Z
+generators and Z levels of the embeddings, and the random sampler refuse,
+before building anything, elements that could need more than
+``_MAX_CARETS`` carets.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .words import (
 )
 
 
-_MAX_CARETS = 1_000_000  # most carets power and the embeddings' Z levels may build
+_MAX_CARETS = 1_000_000  # most carets an element built from a few ints may need
 
 
 class CaretLimitError(ValueError):
@@ -77,7 +79,11 @@ class GroupElement:
     @classmethod
     def from_normal_form(cls, nf: NormalForm) -> GroupElement:
         """The element of a normal form. NormalForm enforces the uniqueness
-        condition, so the pair it builds is reduced and is not checked."""
+        condition, so the pair it builds is reduced and is not checked. A
+        part's last index + 1 + its sum of exponents bounds the carets."""
+        _check_carets(max((part[-1][0] + 1 + sum(e for _, e in part)
+                           for part in (nf.positive, nf.negative) if part), default=0),
+                      "normal form")
         return _element(normal_form_to_tree_pair(nf))
 
     @property
@@ -114,6 +120,7 @@ def identity() -> GroupElement:
 def generator(index: int) -> GroupElement:
     """The generator x_index: the comb pair (R_2, L_2) under a right spine of
     index carets, built by _run_power in O(index) new nodes."""
+    _check_carets(index + 2, f"generator x{index}")
     return _run_power(Letter(index, 1), 1)
 
 

@@ -7,9 +7,9 @@ sphere sizes come from ``lengths``.
 
 Balls come from breadth-first search on x0, x1 and their inverses only,
 keyed by canonical reduced pairs, to a capped radius (default 9); the
-tests check the weights against it. The search never multiplies an element
-back along the edge it was reached by: one product per edge between
-spheres (33,228 to radius 9, 31,589 elements).
+tests check the weights against it. The search is pure, and never
+multiplies an element back along the edge it was reached by: one product
+per edge between spheres (33,228 to radius 9, 31,589 elements).
 
 The random sampler draws exactly what the plain recursive definition
 draws from the seed. One routine draws each tree without recursion,
@@ -38,21 +38,29 @@ from __future__ import annotations
 
 import csv
 import random
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import IO, Iterable, NamedTuple, Sequence
 
 # embed_product is unused here but stays importable: perfbench's traced run
 # rebinds metric.embed_product by name
 from .embeddings import _product_builder, embed_f_z, embed_product, is_prefix_free
-from .group import GroupElement, _element, generator, identity, inverse, multiply
+from .group import (GroupElement, _check_carets, _element, generator, identity, inverse,
+                    multiply)
 from .lengths import _count_spheres, word_length
 from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
                     _node, _rebuild)
 
 DEFAULT_RADIUS_CAP = 9
+# Largest oracle cap. The constructor counts to its cap, which is cheap (12
+# takes 17 ms, 36 takes 1.3 s), but ball and exact_length search to it, and
+# the radius-12 search takes 20 s and 577 MB; each further sphere is about
+# 2.8 times the last.
+_MAX_CAP = 12
+
+
+class CapLimitError(ValueError):
+    """An oracle cap over ``_MAX_CAP``."""
 
 
 def _check_radius(radius: int, cap: int = DEFAULT_RADIUS_CAP) -> None:
@@ -93,12 +101,10 @@ class LevelStats(NamedTuple):
     duplicates: int
 
 
-class WordMetricOracle:
-    """Breadth-first exact word metric on the generators x0, x1 and their
-    inverses.
-
-    Levels are grown on demand and cached, so repeated queries share one
-    search; the cap bounds memory and runtime.
+def _search(radius: int) -> tuple[dict[GroupElement, int], list[LevelStats]]:
+    """Breadth-first search on x0, x1 and their inverses to ``radius``: every
+    element with word length <= radius, mapped to its length in the order
+    the search found them, and the work of growing spheres 1..radius.
 
     The search is forward-only. When p = g h is reached from sphere d - 1
     and p is new or already on sphere d, then p h^-1 = g is known, so p is
@@ -108,84 +114,77 @@ class WordMetricOracle:
     are those of the plain search. The generating set is closed under
     inverses and its Cayley graph is bipartite, so growing sphere d costs
     one product per edge from sphere d - 1 to sphere d.
+    """
+    x0, x1 = generator(0), generator(1)
+    # (bit of h, h, bit of h^-1) per index: step j ^ 1 is the inverse of step j
+    steps = tuple((1 << j, h, 1 << (j ^ 1)) for j, h in
+                  enumerate((x0, inverse(x0), x1, inverse(x1))))
+    lengths: dict[GroupElement, int] = {identity(): 0}
+    frontier: dict[GroupElement, int] = {identity(): 0}
+    stats: list[LevelStats] = []
+    for depth in range(1, radius + 1):
+        nxt: dict[GroupElement, int] = {}
+        for g, skip in frontier.items():
+            for bit, h, back in steps:
+                if skip & bit:
+                    continue
+                p = multiply(g, h)
+                known = lengths.get(p)
+                if known is None:
+                    lengths[p] = depth
+                    nxt[p] = back
+                elif known == depth:
+                    nxt[p] |= back
+        products = (len(steps) * len(frontier)
+                    - sum(skip.bit_count() for skip in frontier.values()))
+        stats.append(LevelStats(products, len(nxt), products - len(nxt)))
+        frontier = nxt
+    return lengths, stats
 
-    Sphere sizes are not searched for: they are counted from Fordham's
-    caret weights, once up to the cap on the first call (see
-    ``_count_spheres``). Balls, lengths and level stats come from the search.
 
-    A lock serialises growth and the count, so one oracle may be shared
-    across threads; a lookup of an element already found takes no lock.
+class WordMetricOracle:
+    """The exact word metric on the generators x0, x1 and their inverses, to
+    a capped radius.
+
+    Sphere sizes are not searched for: the constructor counts them from
+    Fordham's caret weights up to the cap (see ``_count_spheres``). Balls,
+    lengths and level stats come from ``_search``, run afresh on each call,
+    so a caller with many lookups keeps the dict ``ball`` returns. Nothing
+    changes after construction and nothing takes a lock.
     """
 
     def __init__(self, cap: int = DEFAULT_RADIUS_CAP):
         if cap < 0:
             raise ValueError("cap must be nonnegative")
+        if cap > _MAX_CAP:
+            raise CapLimitError(f"cap {cap} is more than _MAX_CAP = {_MAX_CAP}")
         self.cap = cap
-        x0, x1 = generator(0), generator(1)
-        self._counts: list[int] | None = None  # sphere sizes to the cap, once counted
-        # (bit of h, h, bit of h^-1) per index: step j ^ 1 is the inverse of step j
-        self._steps = tuple((1 << j, h, 1 << (j ^ 1)) for j, h in
-                            enumerate((x0, inverse(x0), x1, inverse(x1))))
-        self._lengths: dict[GroupElement, int] = {identity(): 0}
-        self._frontier: dict[GroupElement, int] = {identity(): 0}
-        self._stats: list[LevelStats] = []
-        self._lock = threading.Lock()
-
-    def _grow_to(self, radius: int) -> None:
-        _check_radius(radius, self.cap)
-        lengths, steps = self._lengths, self._steps
-        with self._lock:
-            while len(self._stats) < radius:
-                depth = len(self._stats) + 1
-                frontier = self._frontier
-                nxt: dict[GroupElement, int] = {}
-                for g, skip in frontier.items():
-                    for bit, h, back in steps:
-                        if skip & bit:
-                            continue
-                        p = multiply(g, h)
-                        known = lengths.get(p)
-                        if known is None:
-                            lengths[p] = depth
-                            nxt[p] = back
-                        elif known == depth:
-                            nxt[p] |= back
-                products = (len(steps) * len(frontier)
-                            - sum(skip.bit_count() for skip in frontier.values()))
-                self._stats.append(LevelStats(products, len(nxt), products - len(nxt)))
-                self._frontier = nxt
+        self._spheres = tuple(_count_spheres(cap))
 
     def ball(self, radius: int) -> dict[GroupElement, int]:
         """Every element with word length <= radius, mapped to its length,
         in the order the search found them."""
-        self._grow_to(radius)
-        with self._lock:
-            size = 1 + sum(s.new for s in self._stats[:radius])
-            return dict(islice(self._lengths.items(), size))
+        _check_radius(radius, self.cap)
+        return _search(radius)[0]
 
     def sphere_sizes(self, radius: int) -> list[int]:
         """Element counts at each exact length 0..radius."""
         _check_radius(radius, self.cap)
-        with self._lock:
-            if self._counts is None:
-                self._counts = _count_spheres(self.cap)
-            return self._counts[:radius + 1]
+        return list(self._spheres[:radius + 1])
 
     def level_stats(self, radius: int) -> list[LevelStats]:
         """The work of growing spheres 1..radius, one entry per sphere."""
-        self._grow_to(radius)
-        with self._lock:
-            return self._stats[:radius]
+        _check_radius(radius, self.cap)
+        return _search(radius)[1]
 
     def exact_length(self, g: GroupElement, max_radius: int | None = None) -> int | None:
-        """|g| if it is at most max_radius (default: the cap), else None."""
+        """|g| if it is at most max_radius (default: the cap), else None; no
+        search when the caret bound N(g) - 2 already passes the radius."""
         radius = self.cap if max_radius is None else max_radius
         _check_radius(radius, self.cap)
-        known = self._lengths.get(g)
-        if known is None:
-            self._grow_to(radius)
-            known = self._lengths.get(g)
-        return known if known is not None and known <= radius else None
+        if length_bounds(g)[0] > radius:
+            return None
+        return _search(radius)[0].get(g)
 
 
 @dataclass(frozen=True)
@@ -201,13 +200,12 @@ class BoundsReport:
         return not self.violations
 
 
-def check_bounds_on_ball(radius: int,
-                         oracle: WordMetricOracle | None = None) -> BoundsReport:
+def check_bounds_on_ball(radius: int) -> BoundsReport:
     """Assert the two-sided caret bounds for every non-identity ball element."""
-    oracle = oracle or WordMetricOracle()
+    _check_radius(radius)
     violations: list[tuple[str, int, int]] = []
     checked = 0
-    for g, length in oracle.ball(radius).items():
+    for g, length in _search(radius)[0].items():
         if length == 0:
             continue
         checked += 1
@@ -303,6 +301,7 @@ def random_tree(rng: random.Random, carets: int) -> Tree:
     a subtree of c carets puts randrange(c) of them on its left, in preorder."""
     if carets < 0:
         raise ValueError("caret count must be nonnegative")
+    _check_carets(carets, "random_tree")
     return _draw(rng.getrandbits, carets, set(), True)[0]  # no keys: nothing cut
 
 
@@ -321,6 +320,7 @@ def random_element(rng: random.Random, max_carets: int,
     least = 2 if nontrivial else 1  # every 1-caret pair reduces to the identity
     if max_carets < least:
         raise ValueError(f"max_carets must be at least {least}")
+    _check_carets(max_carets, "random_element")
     getrandbits = rng.getrandbits
     while True:
         carets = 1 + _randbelow(getrandbits, max_carets)

@@ -1,4 +1,5 @@
 import sys
+from types import MappingProxyType
 
 import pytest
 from hypothesis import strategies as st
@@ -12,13 +13,40 @@ from thompsonf import (
     element_of_word,
     parse_word,
 )
-from thompsonf.metric import WordMetricOracle
+from thompsonf import metric
 
 
 @pytest.fixture(scope="session")
-def oracle():
-    """One shared breadth-first oracle; levels grow on demand and are cached."""
-    return WordMetricOracle()
+def ball10():
+    """The radius-10 ball on x0, x1 and their inverses, 88,253 elements mapped
+    to their lengths in search order: one search shared by the session,
+    read-only."""
+    return MappingProxyType(metric.WordMetricOracle(cap=10).ball(10))
+
+
+@pytest.fixture(scope="session")
+def ball9(ball10):
+    """The radius-9 ball, 31,589 elements: the radius-10 ball's entries of
+    length <= 9, which keeps the search order; read-only."""
+    return MappingProxyType(within(ball10, 9))
+
+
+def within(ball, radius):
+    """The smaller ball of the given radius, in the same search order."""
+    return {g: length for g, length in ball.items() if length <= radius}
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The radius of each breadth-first search run during the test, in order."""
+    radii, real = [], metric._search
+
+    def counting(radius):
+        radii.append(radius)
+        return real(radius)
+
+    monkeypatch.setattr(metric, "_search", counting)
+    return radii
 
 
 @pytest.fixture

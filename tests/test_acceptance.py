@@ -39,6 +39,8 @@ from thompsonf import (
 from thompsonf.metric import random_element, random_tree
 from thompsonf.trees import TreePair
 
+from conftest import within
+
 
 def report(number, label, elapsed, budget):
     print(f"ACCEPTANCE {number}: PASS {label} ({elapsed:.2f}s, budget {budget:.0f}s)")
@@ -98,9 +100,9 @@ def test_criterion_3_z_power_formula():
     report(3, "power formula and caret count, k = 1..50", time.perf_counter() - start, 1.0)
 
 
-def test_criterion_4_metric_bounds_on_ball(oracle):
+def test_criterion_4_metric_bounds_on_ball():
     start = time.perf_counter()
-    bounds = check_bounds_on_ball(8, oracle)
+    bounds = check_bounds_on_ball(8)
     assert bounds.checked == 11236
     assert bounds.passed
     report(4, f"metric bounds over {bounds.checked} ball elements",
@@ -159,11 +161,11 @@ def test_criterion_6_commutation_and_homomorphisms():
     report(6, "commutation and homomorphism laws, exact", time.perf_counter() - start, 120.0)
 
 
-def test_criterion_7_right_subtree_lemma(oracle):
+def test_criterion_7_right_subtree_lemma(ball9):
     start = time.perf_counter()
     met = 0
     counterexamples = 0
-    for g in oracle.ball(7):
+    for g in within(ball9, 7):
         if g.is_identity:
             continue
         pos_claim, neg_claim = right_subtree_claims(g.normal_form())

@@ -90,10 +90,12 @@ class TestMetricCommands:
         assert code == 0
         assert out == "radius,sphere,ball\n0,1,1\n1,4,5\n2,12,17\n"
 
-    def test_ball_stats_go_to_stderr(self, capsys):
+    def test_ball_stats_go_to_stderr(self, capsys, searches):
         code, plain, plain_err = run(capsys, "ball", "--radius", "9")
         assert (code, plain_err) == (0, "")
+        assert searches == []  # the sphere sizes are counted
         code, out, err = run(capsys, "ball", "--radius", "9", "--stats")
+        assert searches == [9]
         assert code == 0
         assert out == plain
         lines = err.splitlines()

@@ -344,6 +344,28 @@ class TestZHeightLimit:
             embed_product(("",), (), (3, -3))
 
 
+class TestShiftAndZGeneratorLimit:
+    def test_just_over_the_cap_raise(self, monkeypatch):
+        cap = group_module._MAX_CARETS
+        monkeypatch.setattr(embeddings_module, "clone_map", None)  # nothing may be built
+        monkeypatch.setattr(embeddings_module, "generator", None)
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^shift {cap - 1} could need {cap + 1} carets"):
+            shift(generator(0), cap - 1)
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^z_generator\\({cap // 2 - 1}\\) could need {cap + 1} carets"):
+            z_generator(cap // 2 - 1)
+
+    def test_at_a_small_cap(self, monkeypatch):
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 13)
+        assert shift(generator(0), 11).caret_count == 13
+        assert z_generator(5).caret_count == 13
+        with pytest.raises(group_module.CaretLimitError):
+            shift(generator(0), 12)
+        with pytest.raises(group_module.CaretLimitError):
+            z_generator(6)
+
+
 class TestDirectConstruction:
     """The grafted image pair against the clone/power/multiply route."""
 

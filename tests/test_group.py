@@ -144,6 +144,31 @@ class TestCaretLimit:
             power(generator(0), 7)
         assert power(identity(), 10 ** 9) == identity()
 
+    def test_generator_and_normal_form_just_over_the_cap_raise(self, monkeypatch):
+        cap = group_module._MAX_CARETS
+        monkeypatch.setattr(group_module, "_run_power", None)  # nothing may be built
+        monkeypatch.setattr(group_module, "normal_form_to_tree_pair", None)
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^generator x{cap - 1} could need {cap + 1} carets"):
+            generator(cap - 1)
+        for nf in [NormalForm(((0, cap),)), NormalForm((), ((0, cap),)),
+                   NormalForm(((cap - 1, 1),)), NormalForm(((0, 1),), ((3, cap - 3),))]:
+            with pytest.raises(group_module.CaretLimitError,
+                               match=f"^normal form could need {cap + 1} carets"):
+                GroupElement.from_normal_form(nf)
+
+    def test_generator_and_normal_form_at_a_small_cap(self, monkeypatch):
+        # both bounds are met: x_i has i + 2 carets and x0^k has k + 1
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 12)
+        assert generator(10).caret_count == 12
+        assert GroupElement.from_normal_form(NormalForm(((0, 11),))).caret_count == 12
+        assert GroupElement.from_normal_form(NormalForm((), ((10, 1),))).caret_count == 12
+        assert GroupElement.from_normal_form(NormalForm()) == identity()
+        with pytest.raises(group_module.CaretLimitError):
+            generator(11)
+        with pytest.raises(group_module.CaretLimitError):
+            GroupElement.from_normal_form(NormalForm(((0, 12),)))
+
 
 class TestDeepElements:
     def test_power_of_x0_4096(self, default_recursion_limit):

@@ -1,7 +1,5 @@
 import io
 import random
-import sys
-import threading
 from collections import defaultdict
 from fractions import Fraction
 
@@ -47,7 +45,7 @@ from thompsonf.lengths import (_I0, _IR, _L0, _LL, _R0, _RI, _RNI, _WEIGHTS, _ca
                                _count_spheres, word_length)
 from thompsonf.metric import _randbelow, random_element, random_tree
 
-from conftest import el, large_elements
+from conftest import el, large_elements, within
 
 # frozen oracle regression: ball sizes at radius 0..5
 BALL_SIZES = [1, 5, 17, 53, 161, 475]
@@ -170,9 +168,9 @@ class TestCaretCounts:
 
 
 class TestLengthBounds:
-    def test_x1(self, oracle):
+    def test_x1(self, ball9):
         assert length_bounds(generator(1)) == (1, 8)
-        assert oracle.exact_length(generator(1), 1) == 1  # lower bound attained
+        assert ball9[generator(1)] == 1  # lower bound attained
 
     def test_x0(self):
         assert length_bounds(generator(0)) == (0, 4)
@@ -187,15 +185,20 @@ class TestLengthBounds:
 
 
 class TestExactLength:
-    def test_examples(self, oracle):
+    def test_examples(self):
+        oracle = WordMetricOracle(cap=3)
         assert oracle.exact_length(identity(), 0) == 0
         assert oracle.exact_length(inverse(generator(0)), 1) == 1
-        assert oracle.exact_length(generator(2), 3) == 3
+        assert oracle.exact_length(generator(2)) == 3
 
-    def test_absent_outside_radius(self, oracle):
-        assert oracle.exact_length(generator(2), 2) is None
+    def test_absent_outside_radius(self, searches):
+        oracle = WordMetricOracle(cap=2)
+        assert oracle.exact_length(generator(2)) is None  # N - 2 = 2: searched
+        assert oracle.exact_length(generator(3), 2) is None  # N - 2 = 3: not searched
+        assert searches == [2]
 
-    def test_cap_enforced(self, oracle):
+    def test_cap_enforced(self):
+        oracle = WordMetricOracle()
         with pytest.raises(ValueError):
             oracle.exact_length(generator(0), 10)
         with pytest.raises(ValueError):
@@ -215,33 +218,65 @@ class TestExactLength:
         with pytest.raises(ValueError, match="^radius 1 exceeds the oracle cap 0$"):
             zero.ball(1)
 
+    def test_cap_limit(self, monkeypatch):
+        def refuse(radius):
+            raise RuntimeError("spheres were counted")
+
+        cap = metric_module._MAX_CAP
+        assert cap >= 10  # the tests use cap 10
+        with monkeypatch.context() as m:
+            m.setattr(metric_module, "_count_spheres", refuse)
+            with pytest.raises(metric_module.CapLimitError,
+                               match=f"^cap {cap + 1} is more than _MAX_CAP = {cap}$"):
+                WordMetricOracle(cap=cap + 1)
+        assert WordMetricOracle(cap=12).sphere_sizes(12) == SPHERES_TO_12  # counted
+
+
+class TestSearchCount:
+    def test_each_search_query_runs_one_search(self, searches):
+        oracle = WordMetricOracle(cap=3)
+        attributes = dict(vars(oracle))
+        assert searches == []  # the constructor only counts
+        oracle.sphere_sizes(3)
+        assert searches == []
+        oracle.ball(3)
+        oracle.level_stats(2)
+        assert oracle.exact_length(generator(2)) == 3
+        assert searches == [3, 2, 3]
+        assert vars(oracle) == attributes  # nothing is set after construction
+
+    def test_far_element_is_not_searched(self, searches):
+        assert WordMetricOracle().exact_length(generator(50)) is None
+        assert searches == []
+
 
 class TestBalls:
-    def test_radius_zero_and_one(self, oracle):
+    def test_radius_zero_and_one(self):
+        oracle = WordMetricOracle(cap=1)
         assert list(oracle.ball(0)) == [identity()]
         ball1 = oracle.ball(1)
         assert len(ball1) == 5
         x0, x1 = generator(0), generator(1)
         assert set(ball1) == {identity(), x0, inverse(x0), x1, inverse(x1)}
 
-    def test_frozen_sizes(self, oracle):
+    def test_frozen_sizes(self, ball9):
         for radius, size in enumerate(BALL_SIZES):
-            assert len(oracle.ball(radius)) == size
+            assert len(within(ball9, radius)) == size
 
-    def test_strictly_increasing(self, oracle):
-        sizes = [len(oracle.ball(r)) for r in range(7)]
+    def test_strictly_increasing(self, ball9):
+        sizes = [len(within(ball9, r)) for r in range(10)]
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
 
-    def test_lengths_symmetric_under_inverse(self, oracle):
-        for g, length in oracle.ball(5).items():
-            assert oracle.ball(5)[inverse(g)] == length
+    def test_lengths_symmetric_under_inverse(self, ball9):
+        for g, length in ball9.items():
+            assert ball9[inverse(g)] == length
 
-    def test_triangle_inequality(self, oracle):
+    def test_triangle_inequality(self, ball9):
         rng = random.Random(13)
-        ball3 = list(oracle.ball(3).items())
+        ball3 = list(within(ball9, 3).items())
         for _ in range(300):
             (a, la), (b, lb) = rng.choice(ball3), rng.choice(ball3)
-            lab = oracle.exact_length(multiply(a, b), 6)
+            lab = ball9.get(multiply(a, b))
             assert lab is not None and lab <= la + lb
 
 
@@ -267,42 +302,6 @@ class TestForwardOnlySearch:
         assert all(s.products == s.new + s.duplicates for s in stats)
         assert oracle.sphere_sizes(8) == SPHERES_TO_8
 
-    @pytest.mark.parametrize("query", ["ball", "sphere_sizes"])
-    def test_shared_across_threads(self, query):
-        # the ball grows under the search's lock, the sizes are counted under it
-        oracle, results = WordMetricOracle(), []
-        start = threading.Barrier(8)
-
-        def grow():
-            start.wait(timeout=60)
-            if query == "ball":
-                lengths = list(oracle.ball(8).values())
-                results.append([lengths.count(r) for r in range(9)])
-            else:
-                results.append(oracle.sphere_sizes(8))
-
-        threads = [threading.Thread(target=grow) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert results == [SPHERES_TO_8] * 8
-        assert len(oracle._lengths) == (11_237 if query == "ball" else 1)
-
-
-@pytest.fixture(scope="module")
-def oracle10():
-    """A radius-10 oracle, its ball grown: 88,253 elements."""
-    oracle = WordMetricOracle(cap=10)
-    oracle.ball(10)
-    return oracle
-
 
 LARGE = settings(max_examples=5, deadline=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -311,12 +310,11 @@ LARGE = settings(max_examples=5, deadline=None,
 
 
 class TestWordLength:
-    def test_equals_the_search_on_the_radius_10_ball(self, oracle10):
-        ball = oracle10.ball(10)
-        assert len(ball) == 88_253
-        assert [g for g, length in ball.items() if word_length(g) != length] == []
+    def test_equals_the_search_on_the_radius_10_ball(self, ball10):
+        assert len(ball10) == 88_253
+        assert [g for g, length in ball10.items() if word_length(g) != length] == []
         # the ball pairs caret types in every cell the table gives a weight
-        used = {cell for g in ball
+        used = {cell for g in ball10
                 for cell in zip(_caret_types(g.pair.neg), _caret_types(g.pair.pos))}
         weighted = {(a, b) for a, row in enumerate(_WEIGHTS)
                     for b, w in enumerate(row) if w is not None}
@@ -369,10 +367,10 @@ class TestWordLength:
 
 
 class TestSphereCount:
-    def test_equals_the_search_to_radius_10(self, oracle10):
-        balls = [len(oracle10.ball(r)) for r in range(11)]
-        spheres = [balls[0]] + [b - a for a, b in zip(balls, balls[1:])]
-        assert oracle10.sphere_sizes(10) == spheres == SPHERES_TO_11[:11]
+    def test_equals_the_search_to_radius_10(self, ball10):
+        lengths = list(ball10.values())
+        spheres = [lengths.count(r) for r in range(11)]
+        assert WordMetricOracle(cap=10).sphere_sizes(10) == spheres == SPHERES_TO_11[:11]
 
     def test_radius_11(self):
         assert _count_spheres(11) == SPHERES_TO_11
@@ -406,22 +404,28 @@ class TestSphereCount:
 
 
 class TestBoundsOnBall:
-    def test_radius_five_clean(self, oracle):
-        report = check_bounds_on_ball(5, oracle)
+    def test_radius_five_clean(self):
+        report = check_bounds_on_ball(5)
         assert report.passed
         assert report.checked == BALL_SIZES[5] - 1
         assert report.violations == ()
 
+    def test_radius_checked_against_the_default_cap(self, searches):
+        with pytest.raises(ValueError, match="^radius 10 exceeds the oracle cap 9$"):
+            check_bounds_on_ball(10)
+        assert searches == []
+
 
 class TestMetricEstimate:
-    def test_estimate_with_lookup(self, oracle):
+    def test_estimate_with_lookup(self):
+        oracle = WordMetricOracle()
         est = metric_estimate(generator(2), oracle=oracle, search_radius=4)
         assert est == MetricEstimate(4, 2, 12, 3)
         est = metric_estimate(identity(), oracle=oracle)
         assert est.exact == 0
 
-    def test_exact_equals_the_search_on_the_radius_7_ball(self, oracle):
-        for g, length in oracle.ball(7).items():
+    def test_exact_equals_the_search_on_the_radius_7_ball(self, ball9):
+        for g, length in within(ball9, 7).items():
             for r in range(8):
                 expected = length if length <= r else None
                 assert metric_estimate(g, search_radius=r).exact == expected, (g, r)
@@ -445,7 +449,7 @@ class TestMetricEstimate:
         f_z_spec(), product_spec(("0", "11"), 1), product_spec(("0", "10", "11"), 0),
         product_spec(("00", "01", "1"), 2),
     ], ids=["phi", "psi 0,11", "psi 0,10,11", "psi 00,01,1"])
-    def test_sweep_images_agree_with_the_search(self, oracle, monkeypatch, spec):
+    def test_sweep_images_agree_with_the_search(self, ball9, monkeypatch, spec):
         # the benchmark's four specs: each image's exact length at radius 8
         # is the search's. Small factors put phi images on both sides of the
         # radius. The psi images all lie outside it; those of 00,01,1 do so
@@ -467,16 +471,15 @@ class TestMetricEstimate:
         samples = distortion_sweep(spec, 150, seed=5, max_carets=3, max_z=2,
                                    search_radius=8)
         assert len(images) == len(samples)
-        assert [s.image.exact for s in samples] == [oracle.exact_length(image, 8)
-                                                    for image in images]
+        ball8 = within(ball9, 8)
+        assert [s.image.exact for s in samples] == [ball8.get(image) for image in images]
         assert len(lengths_read) == sum(s.image.lower <= 8 for s in samples)
 
-    def test_sweep_grows_no_ball(self):
-        oracle = WordMetricOracle(cap=8)
+    def test_sweep_grows_no_ball(self, searches):
         samples = distortion_sweep(f_z_spec(), 200, seed=1, max_carets=5, max_z=3,
-                                   oracle=oracle, search_radius=8)
+                                   oracle=WordMetricOracle(cap=8), search_radius=8)
         assert any(s.image.exact is not None for s in samples)
-        assert len(oracle._lengths) == 1  # the identity alone
+        assert searches == []
 
 
 def reference_random_tree(rng, carets):
@@ -592,6 +595,27 @@ class TestSampler:
             not random_element(rng, 3, nontrivial=True).is_identity
             for _ in range(200)
         )
+
+    def test_sizes_just_over_the_cap_raise(self, monkeypatch):
+        cap = group_module._MAX_CARETS
+        monkeypatch.setattr(metric_module, "_draw", None)  # nothing may be drawn
+        rng = random.Random(3)
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^random_tree could need {cap + 1} carets"):
+            random_tree(rng, cap + 1)
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^random_element could need {cap + 1} carets"):
+            random_element(rng, cap + 1)
+
+    def test_sizes_at_a_small_cap(self, monkeypatch):
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 12)
+        rng = random.Random(3)
+        assert caret_count(random_tree(rng, 12)) == 12
+        assert random_element(rng, 12).caret_count <= 12
+        with pytest.raises(group_module.CaretLimitError):
+            random_tree(rng, 13)
+        with pytest.raises(group_module.CaretLimitError):
+            random_element(rng, 13)
 
 
 class TestSweep:

@@ -37,6 +37,24 @@ def test_no_functools_caches():
     assert found == []
 
 
+def test_no_threads_or_processes():
+    # nothing in the library takes a lock or starts a worker: every object is
+    # unchanged after it is made, so none needs one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] in ("threading", "_thread",
+                                                  "multiprocessing", "concurrent")]
+    assert found == []
+
+
 def _top_level_names(path):
     names = set()
     for node in ast.parse(path.read_text(), str(path)).body:
@@ -88,7 +106,7 @@ def test_sweep_and_metric_paths_grow_no_ball():
     # for ball and for the tests that check word_length against it
     metric = importlib.import_module("thompsonf.metric")
     cli = importlib.import_module("thompsonf.cli")
-    search = {"WordMetricOracle", "exact_length", "_grow_to"}
+    search = {"WordMetricOracle", "exact_length", "_search"}
     for function in (metric.metric_estimate, metric.distortion_sweep,
                      cli._cmd_metric, cli._cmd_sweep):
         assert _names_used(function.__code__) & search == set(), function.__name__
