@@ -76,6 +76,12 @@ def word_length(g: GroupElement) -> int:
                zip(_caret_types(g.pair.neg), _caret_types(g.pair.pos)))
 
 
+def _heavy_to_read(where: str, waiting: int) -> int:
+    """h of a reading state of ``_count_spheres``: the heavy carets (types
+    LL, I0, IR) its tree has still to read, the current caret included."""
+    return waiting + (where in ("LL", "before"))
+
+
 def _count_spheres(radius: int) -> list[int]:
     """Element counts at each word length 0..radius on x0, x1, counted over
     reduced tree pairs by caret weight without building any element.
@@ -90,14 +96,24 @@ def _count_spheres(radius: int) -> list[int]:
     over two leaves is dropped, so every pair counted is reduced.
 
     Each (neg state, pos state) pair packs its counts in one int, S bits a
-    weight, so a move of weight w is a shift by w S and a mask, which prunes
-    the counts the pair's waiting carets would carry past the radius: every
-    caret but the last weighs at least 1. At radius r, S is the bit length
-    of (25 (r + 1)^2)^(r + 2), and no slot carries (proved, not just
-    checked): a count after k steps is at most (25 (r + 1)^2)^k, as a step
-    takes one of at most 25 move pairs and at most r + 1 descent depths in
-    each tree; k <= r + 1, as every step but the first and last weighs at
-    least 1; and a sphere size is at most 4^r.
+    weight, so a move of weight w is a shift by w S and a mask. The mask
+    drops only counts that must pass the radius (proved, not just checked).
+    Call a caret heavy if its type is LL, I0 or IR, and let h of a state be
+    the heavy carets its tree has still to read: waiting + 1 before the root
+    (the current interior caret, waiting - 1 interior carets and the
+    left-arm caret that waits on top), waiting after it (the caret on top is
+    on the right arm), 1 on the left arm past caret 0, and 0 otherwise. Each
+    weight W[x][y] is at least [x heavy] + [y heavy] and a step reads one
+    caret of each tree, so the weight still to come is at least h(neg) +
+    h(pos). At radius 9 this keeps 1,295 pair-steps and builds 430 move
+    lists, where the bound max(waiting) kept 2,955 and built 1,006; the count
+    takes about 3 ms at radius 9 and 19 ms at radius 16.
+
+    At radius r, S is the bit length of (25 (r + 1)^2)^(r + 2), and no slot
+    carries (proved, not just checked): a count after k steps is at most
+    (25 (r + 1)^2)^k, as a step takes one of at most 25 move pairs and at
+    most r + 1 descent depths in each tree; k <= r + 1, as every step but
+    the first and last weighs at least 1; and a sphere size is at most 4^r.
     """
     # where the current caret lies: caret 0, the rest of the left arm, the
     # right arm, or interior before or after the root. On the left arm no
@@ -123,7 +139,8 @@ def _count_spheres(radius: int) -> list[int]:
     states += [(where, waiting, leaf) for where in ("before", "after")
                for waiting in range(1, radius + 2) for leaf in (True, False)]
     # State numbers put one caret deeper two on and the end last; pair (a, b)
-    # is a n + b. Masks drop waits past the radius and pairs half read.
+    # is a n + b. Masks drop counts whose heavy carets pass the radius and
+    # pairs half read.
     index = {state: i for i, state in enumerate(states)}
     end = len(states)
     table = [[(kind, state[2] and right_leaf, end if to is None else index[to])
@@ -132,9 +149,14 @@ def _count_spheres(radius: int) -> list[int]:
     n = len(states)
     width = ((25 * (radius + 1) ** 2) ** (radius + 2)).bit_length()
     shifts = [w * width for w in range(5)]
-    fits = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)] + [0]
-    masks = [fits[radius - max(a[1], b[1])] if (a[0] == "end") == (b[0] == "end") else 0
-             for a in states for b in states]
+    fits = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)]
+    # h per state; the end's h cuts every half-read pair, and the end pair
+    # (the last) keeps the whole radius.
+    heavy = [_heavy_to_read(where, waiting) for where, waiting, _ in states]
+    heavy[-1] = radius + 1
+    cut = fits[::-1] + [0] * 2 * max(heavy)  # cut[h] keeps weights <= radius - h
+    masks = [cut[x + y] for x in heavy for y in heavy]
+    masks[-1] = fits[radius]
     descends = [waiting if leaf and where in ("before", "after") else -1
                 for where, waiting, leaf in states]
     sides = ((2 * n, [a for a in descends for _ in states]), (2, descends * n))

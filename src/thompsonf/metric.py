@@ -53,7 +53,7 @@ from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
 
 DEFAULT_RADIUS_CAP = 9
 # Largest oracle cap. The constructor counts to its cap, which is cheap (12
-# takes 17 ms, 36 takes 1.3 s), but ball and exact_length search to it, and
+# takes 7 ms, 36 takes 0.6 s), but ball and exact_length search to it, and
 # the radius-12 search takes 20 s and 577 MB; each further sphere is about
 # 2.8 times the last.
 _MAX_CAP = 12
@@ -179,12 +179,14 @@ class WordMetricOracle:
 
     def exact_length(self, g: GroupElement, max_radius: int | None = None) -> int | None:
         """|g| if it is at most max_radius (default: the cap), else None; no
-        search when the caret bound N(g) - 2 already passes the radius."""
+        search when the caret bound N(g) - 2 already passes the radius, and
+        none past the bound 4N(g) - 4."""
         radius = self.cap if max_radius is None else max_radius
         _check_radius(radius, self.cap)
-        if length_bounds(g)[0] > radius:
+        low, high = length_bounds(g)
+        if low > radius:
             return None
-        return _search(radius)[0].get(g)
+        return _search(min(radius, high))[0].get(g)
 
 
 @dataclass(frozen=True)

@@ -133,20 +133,6 @@ def caret_count(t: Tree) -> int:
     return t.leaves - 1
 
 
-def leaf_addresses(t: Tree) -> tuple[str, ...]:
-    """Addresses of the exposed leaves in leaf order (0 = left, 1 = right)."""
-    out: list[str] = []
-    todo = [(t, "")]
-    while todo:
-        node, addr = todo.pop()
-        if node.left is None:
-            out.append(addr)
-        else:
-            todo.append((node.right, addr + "1"))
-            todo.append((node.left, addr + "0"))
-    return tuple(out)
-
-
 def leaf_exponents(t: Tree) -> tuple[int, ...]:
     """Exponent E(n) of every leaf, in leaf order.
 

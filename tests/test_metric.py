@@ -1,3 +1,4 @@
+import heapq
 import io
 import random
 from collections import defaultdict
@@ -39,10 +40,11 @@ from thompsonf import (
 )
 from thompsonf import embeddings as embeddings_module
 from thompsonf import group as group_module
+from thompsonf import lengths as lengths_module
 from thompsonf import metric as metric_module
 from thompsonf import trees as trees_module
 from thompsonf.lengths import (_I0, _IR, _L0, _LL, _R0, _RI, _RNI, _WEIGHTS, _caret_types,
-                               _count_spheres, word_length)
+                               _count_spheres, _heavy_to_read, word_length)
 from thompsonf.metric import _randbelow, random_element, random_tree
 
 from conftest import el, large_elements, within
@@ -71,6 +73,30 @@ def reference_ball(generators, radius):
     return lengths
 
 
+# The reference counter's automaton. A tree's state is (where its current
+# caret lies, the carets waiting, whether the current caret's left child is a
+# leaf). Where the current caret lies: caret 0, the rest of the left arm, the
+# right arm, or interior before or after the root. On the left arm no caret
+# waits: each one there chooses whether it is the root.
+def reference_moves(where, waiting, leaf):
+    """A reading state's moves: (type, right child is a leaf, next state or
+    None at the end)."""
+    if where in ("L0", "LL"):
+        kind = _L0 if where == "L0" else _LL
+        return ((kind, True, ("LL", 0, False)),          # not the root
+                (kind, False, ("before", 1, True)),
+                (kind, True, None),                      # the root
+                (kind, False, ("right", 0, True)),
+                (kind, False, ("after", 1, True)))
+    if where == "right":
+        return ((_R0, True, None),
+                (_RNI, False, ("right", 0, True)),
+                (_RI, False, ("after", 1, True)))
+    up = ((where, waiting - 1, False) if waiting > 1 else
+          ("LL" if where == "before" else "right", 0, False))
+    return ((_I0, True, up), (_IR, False, (where, waiting, True)))
+
+
 # The sphere counter as it was before its counts were packed per state
 # pair: a dict keyed by (neg state, pos state, weight), kept as the reference.
 def reference_count_spheres(radius: int) -> list[int]:
@@ -88,30 +114,10 @@ def reference_count_spheres(radius: int) -> list[int]:
     whose waiting carets alone would pass the radius is pruned: every caret
     but the last weighs at least 1.
     """
-    # where the current caret lies: caret 0, the rest of the left arm, the
-    # right arm, or interior before or after the root. On the left arm no
-    # caret waits: each one there chooses whether it is the root.
-    def moves(where, waiting, leaf):
-        """(type, right child is a leaf, next state or None at the end)."""
-        if where in ("L0", "LL"):
-            kind = _L0 if where == "L0" else _LL
-            return ((kind, True, ("LL", 0, False)),          # not the root
-                    (kind, False, ("before", 1, True)),
-                    (kind, True, None),                      # the root
-                    (kind, False, ("right", 0, True)),
-                    (kind, False, ("after", 1, True)))
-        if where == "right":
-            return ((_R0, True, None),
-                    (_RNI, False, ("right", 0, True)),
-                    (_RI, False, ("after", 1, True)))
-        up = ((where, waiting - 1, False) if waiting > 1 else
-              ("LL" if where == "before" else "right", 0, False))
-        return ((_I0, True, up), (_IR, False, (where, waiting, True)))
-
     states = [("L0", 0, True), ("LL", 0, False), ("right", 0, True), ("right", 0, False)]
     states += [(where, waiting, leaf) for where in ("before", "after")
                for waiting in range(1, radius + 1) for leaf in (True, False)]
-    table = {state: moves(*state) for state in states}
+    table = {state: reference_moves(*state) for state in states}
 
     sizes = [1] + [0] * radius  # the identity: the pair of empty trees
     start = states[0]
@@ -154,6 +160,47 @@ def reference_count_spheres(radius: int) -> list[int]:
                     nxt[pushed] += nxt[key]
         counts = nxt
     return sizes
+
+
+def least_weight_to_finish(max_waiting: int) -> dict[tuple, int]:
+    """The least weight still to come from each (neg state, pos state) pair of
+    the reference automaton that can finish, waits up to max_waiting: one
+    backward shortest-path search from the end over the pair graph."""
+    states = [("L0", 0, True), ("LL", 0, False), ("right", 0, True), ("right", 0, False)]
+    states += [(where, waiting, leaf) for where in ("before", "after")
+               for waiting in range(1, max_waiting + 1) for leaf in (True, False)]
+    known, end = set(states), None
+    into: defaultdict[tuple | None, list] = defaultdict(list)  # pair -> (weight, pair before)
+    for a in states:
+        for b in states:
+            for a_type, a_right_leaf, a_next in reference_moves(*a):
+                for b_type, b_right_leaf, b_next in reference_moves(*b):
+                    w = _WEIGHTS[a_type][b_type]
+                    if w is None or (a[2] and a_right_leaf and b[2] and b_right_leaf):
+                        continue
+                    if a_next is None and b_next is None:
+                        into[end].append((w, (a, b)))
+                    elif a_next in known and b_next in known:
+                        into[a_next, b_next].append((w, (a, b)))
+            # a descent one caret deeper weighs nothing
+            for side, (where, waiting, leaf) in enumerate((a, b)):
+                deeper = (where, waiting + 1, True)
+                if leaf and where in ("before", "after") and deeper in known:
+                    into[(deeper, b) if side == 0 else (a, deeper)].append((0, (a, b)))
+    least: dict[tuple | None, int] = {}
+    heap = [(0, 0, end)]  # (weight, tie-break, pair)
+    ties = 0
+    while heap:
+        weight, _, pair = heapq.heappop(heap)
+        if pair in least:
+            continue
+        least[pair] = weight
+        for w, before in into[pair]:
+            if before not in least:
+                ties += 1
+                heapq.heappush(heap, (weight + w, ties, before))
+    del least[end]
+    return least
 
 
 class TestCaretCounts:
@@ -244,6 +291,13 @@ class TestSearchCount:
         assert oracle.exact_length(generator(2)) == 3
         assert searches == [3, 2, 3]
         assert vars(oracle) == attributes  # nothing is set after construction
+
+    def test_search_stops_at_the_upper_bound(self, searches):
+        oracle = WordMetricOracle()
+        assert oracle.exact_length(generator(0)) == 1  # 4N - 4 = 4
+        assert oracle.exact_length(identity()) == 0
+        assert oracle.exact_length(generator(1), 6) == 1  # 4N - 4 = 8
+        assert searches == [4, 0, 6]
 
     def test_far_element_is_not_searched(self, searches):
         assert WordMetricOracle().exact_length(generator(50)) is None
@@ -401,6 +455,43 @@ class TestSphereCount:
         assert oracle.sphere_sizes(4) == SPHERES_TO_8[:5]
         with pytest.raises(ValueError, match="radius 10 exceeds the oracle cap 9"):
             oracle.sphere_sizes(10)
+
+
+HEAVY = {_LL, _I0, _IR}
+
+
+class TestHeavyCaretPrune:
+    def test_every_weight_covers_its_heavy_carets(self):
+        # the premise of _count_spheres' prune: W[x][y] >= [x heavy] + [y heavy]
+        def covered(heavy):
+            return all(w is None or w >= (x in heavy) + (y in heavy)
+                       for x, row in enumerate(_WEIGHTS) for y, w in enumerate(row))
+
+        assert covered(HEAVY)
+        # and no further type could count as heavy
+        assert not any(covered(HEAVY | {x}) for x in range(7) if x not in HEAVY)
+
+    def test_heavy_carets_bound_the_weight_to_come(self):
+        # searched with waits up to 16 and checked up to 10, away from the cut
+        slack: dict[str, int] = {}
+        for (a, b), weight in least_weight_to_finish(16).items():
+            if max(a[1], b[1]) <= 10:
+                h = _heavy_to_read(a[0], a[1]) + _heavy_to_read(b[0], b[1])
+                assert h <= weight, (a, b)
+                for where in (a[0], b[0]):
+                    slack[where] = min(slack.get(where, weight), weight - h)
+        # tight on every kind a move reaches: h cannot be one more on any
+        assert slack == {"L0": 1, "LL": 0, "right": 0, "before": 0, "after": 0}
+
+    # L0 is only the start state, which no move reaches, so its h is never read
+    @pytest.mark.parametrize("kind", ["LL", "right", "before", "after"])
+    def test_one_more_heavy_caret_on_any_kind_cuts_a_count(self, monkeypatch, kind):
+        expected = reference_count_spheres(10)
+        assert _count_spheres(10) == expected == SPHERES_TO_11[:11]
+        real = lengths_module._heavy_to_read
+        monkeypatch.setattr(lengths_module, "_heavy_to_read",
+                            lambda where, waiting: real(where, waiting) + (where == kind))
+        assert _count_spheres(10) != expected
 
 
 class TestBoundsOnBall:

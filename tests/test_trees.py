@@ -40,7 +40,6 @@ from thompsonf.trees import (
     _node,
     _probe,
     expand_leaves,
-    leaf_addresses,
     leaf_growths,
     union_tree,
 )
@@ -250,8 +249,16 @@ class TestLeafExponents:
     @given(trees())
     def test_right_leaves_read_zero(self, t):
         exps = leaf_exponents(t)
-        for n, addr in enumerate(leaf_addresses(t)):
-            if addr.endswith("1"):
+        is_right, todo = [], [(t, False)]  # per leaf in leaf order: a right child?
+        while todo:
+            node, right = todo.pop()
+            if node.left is None:
+                is_right.append(right)
+            else:
+                todo += ((node.right, True), (node.left, False))
+        assert len(is_right) == len(exps)
+        for n, right in enumerate(is_right):
+            if right:
                 assert exps[n] == 0
 
     @given(trees())
@@ -557,7 +564,7 @@ class TestSerialization:
         assert text.count("(") == 2 * 1501
         assert parse_pair(text) == pair
         assert pair_to_dot(pair).count(" -> ") == 2 * 2 * 1501
-        assert leaf_addresses(pair.pos)[0] == "0" * 1501
+        assert format_tree(pair.pos).startswith("(" * 1501 + "L")
 
     def test_dot_export(self):
         dot = tree_to_dot(LEFT_COMB_2, "pos")
