@@ -11,7 +11,7 @@ No object changes after it is made, nothing takes a lock, and the
 functions are pure, so anything may be shared across threads. The only
 module-level values are immutable tables, such as the comb table in
 ``trees``. A WordMetricOracle counts its sphere sizes when it is made and
-searches afresh on each ``ball`` or ``exact_length`` call.
+searches afresh on each ``ball`` call, and on no other.
 """
 
 from types import ModuleType as _ModuleType

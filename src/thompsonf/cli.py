@@ -46,6 +46,14 @@ def _addresses(text: str) -> list[str]:
     return text.split(",")
 
 
+def _integers(text: str) -> list[int]:
+    """Comma-separated integers; the empty text is none."""
+    try:
+        return [int(t) for t in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer list: {text!r}") from None
+
+
 def _print_element(g, out) -> None:
     print(str(g.normal_form()), file=out)
 
@@ -101,9 +109,8 @@ def _cmd_embed_phi(args, out):
 
 
 def _cmd_embed_psi(args, out):
-    z_factors = [int(t) for t in args.z.split(",")] if args.z else []
     f_factors = [_element(w) for w in args.words]
-    _print_element(embed_product(args.addresses, f_factors, z_factors), out)
+    _print_element(embed_product(args.addresses, f_factors, args.z), out)
     return 0
 
 
@@ -121,11 +128,8 @@ def _cmd_sweep(args, out):
 
 
 def _cmd_render(args, out):
-    g = _element(args.word)
-    if args.format == "dot":
-        print(pair_to_dot(g.pair), file=out)
-    else:
-        print(format_pair(g.pair), file=out)
+    render = pair_to_dot if args.format == "dot" else format_pair
+    print(render(_element(args.word).pair), file=out)
     return 0
 
 
@@ -165,7 +169,7 @@ COMMANDS = (
         _arg("words", nargs="*", help="the m group factors"),
         _arg("--addresses", metavar="LIST", default="", type=_addresses,
              help="comma-separated prefix-free addresses (m+1 of them)"),
-        _arg("--z", metavar="LIST", default=None,
+        _arg("--z", metavar="LIST", default="", type=_integers,
              help="comma-separated integer factors"))),
     ("sweep", _cmd_sweep, "distortion sweep CSV", (
         _arg("--embedding", choices=("phi", "psi"), default="phi"),

@@ -277,6 +277,8 @@ class RelatorReport:
 def verify_relators(max_index: int = 8) -> RelatorReport:
     """Check both finite-presentation relators and the sampled infinite
     presentation relations x_i^-1 x_j x_i = x_{j+1} for i < j <= max_index."""
+    if max_index < 0:
+        raise ValueError("max_index must be nonnegative")
     gens = [generator(i) for i in range(max_index + 2)]  # each built once
     x0, x1 = gens[0], gens[1]
     z = multiply(x0, inverse(x1))

@@ -5,7 +5,7 @@ The caret count N(g) of the reduced pair pins the word length of any
 non-identity element between N(g) - 2 and 4 N(g) - 4; exact lengths and
 sphere sizes come from ``lengths``.
 
-Balls come from breadth-first search on x0, x1 and their inverses only,
+Balls alone come from breadth-first search on x0, x1 and their inverses,
 keyed by canonical reduced pairs, to a capped radius (default 9); the
 tests check the weights against it. The search is pure, and never
 multiplies an element back along the edge it was reached by: one product
@@ -53,9 +53,8 @@ from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
 
 DEFAULT_RADIUS_CAP = 9
 # Largest oracle cap. The constructor counts to its cap, which is cheap (12
-# takes 7 ms, 36 takes 0.6 s), but ball and exact_length search to it, and
-# the radius-12 search takes 20 s and 577 MB; each further sphere is about
-# 2.8 times the last.
+# takes 7 ms, 36 takes 0.6 s), but ball searches to it: radius 12 takes 20 s
+# and 577 MB, and each further sphere is about 2.8 times the last.
 _MAX_CAP = 12
 
 
@@ -101,10 +100,10 @@ class LevelStats(NamedTuple):
     duplicates: int
 
 
-def _search(radius: int) -> tuple[dict[GroupElement, int], list[LevelStats]]:
+def _search(radius: int) -> dict[GroupElement, int]:
     """Breadth-first search on x0, x1 and their inverses to ``radius``: every
     element with word length <= radius, mapped to its length in the order
-    the search found them, and the work of growing spheres 1..radius.
+    the search found them. Only ``ball`` and ``check_bounds_on_ball`` search.
 
     The search is forward-only. When p = g h is reached from sphere d - 1
     and p is new or already on sphere d, then p h^-1 = g is known, so p is
@@ -121,7 +120,6 @@ def _search(radius: int) -> tuple[dict[GroupElement, int], list[LevelStats]]:
                   enumerate((x0, inverse(x0), x1, inverse(x1))))
     lengths: dict[GroupElement, int] = {identity(): 0}
     frontier: dict[GroupElement, int] = {identity(): 0}
-    stats: list[LevelStats] = []
     for depth in range(1, radius + 1):
         nxt: dict[GroupElement, int] = {}
         for g, skip in frontier.items():
@@ -135,22 +133,19 @@ def _search(radius: int) -> tuple[dict[GroupElement, int], list[LevelStats]]:
                     nxt[p] = back
                 elif known == depth:
                     nxt[p] |= back
-        products = (len(steps) * len(frontier)
-                    - sum(skip.bit_count() for skip in frontier.values()))
-        stats.append(LevelStats(products, len(nxt), products - len(nxt)))
         frontier = nxt
-    return lengths, stats
+    return lengths
 
 
 class WordMetricOracle:
     """The exact word metric on the generators x0, x1 and their inverses, to
     a capped radius.
 
-    Sphere sizes are not searched for: the constructor counts them from
-    Fordham's caret weights up to the cap (see ``_count_spheres``). Balls,
-    lengths and level stats come from ``_search``, run afresh on each call,
-    so a caller with many lookups keeps the dict ``ball`` returns. Nothing
-    changes after construction and nothing takes a lock.
+    The constructor counts sphere sizes from Fordham's caret weights up to
+    the cap (see ``_count_spheres``); level stats follow from the counts
+    and exact lengths from the weights. Only ``ball`` searches, afresh on
+    each call, so a caller with many lookups keeps the dict it returns.
+    Nothing changes after construction and nothing takes a lock.
     """
 
     def __init__(self, cap: int = DEFAULT_RADIUS_CAP):
@@ -165,7 +160,7 @@ class WordMetricOracle:
         """Every element with word length <= radius, mapped to its length,
         in the order the search found them."""
         _check_radius(radius, self.cap)
-        return _search(radius)[0]
+        return _search(radius)
 
     def sphere_sizes(self, radius: int) -> list[int]:
         """Element counts at each exact length 0..radius."""
@@ -173,20 +168,22 @@ class WordMetricOracle:
         return list(self._spheres[:radius + 1])
 
     def level_stats(self, radius: int) -> list[LevelStats]:
-        """The work of growing spheres 1..radius, one entry per sphere."""
+        """The search's work growing spheres 1..radius, from the counted sizes.
+        F's relators have even length, so its Cayley graph is bipartite: the
+        four neighbours of an element of S(d - 1) lie on S(d - 2) or S(d),
+        and the search makes one product per edge from S(d - 1) to S(d). So
+        products(d) = 4 |S(d - 1)| - products(d - 1) and new(d) = |S(d)|."""
         _check_radius(radius, self.cap)
-        return _search(radius)[1]
+        stats, products = [], 0
+        for before, new in zip(self._spheres, self._spheres[1:radius + 1]):
+            products = 4 * before - products
+            stats.append(LevelStats(products, new, products - new))
+        return stats
 
     def exact_length(self, g: GroupElement, max_radius: int | None = None) -> int | None:
-        """|g| if it is at most max_radius (default: the cap), else None; no
-        search when the caret bound N(g) - 2 already passes the radius, and
-        none past the bound 4N(g) - 4."""
+        """|g| if at most max_radius (default: the cap), else None, by the weights."""
         radius = self.cap if max_radius is None else max_radius
-        _check_radius(radius, self.cap)
-        low, high = length_bounds(g)
-        if low > radius:
-            return None
-        return _search(min(radius, high))[0].get(g)
+        return metric_estimate(g, self, radius).exact
 
 
 @dataclass(frozen=True)
@@ -205,16 +202,13 @@ class BoundsReport:
 def check_bounds_on_ball(radius: int) -> BoundsReport:
     """Assert the two-sided caret bounds for every non-identity ball element."""
     _check_radius(radius)
+    ball = _search(radius)
     violations: list[tuple[str, int, int]] = []
-    checked = 0
-    for g, length in _search(radius)[0].items():
-        if length == 0:
-            continue
-        checked += 1
+    for g, length in ball.items():
         lower, upper = length_bounds(g)
-        if not lower <= length <= upper:
-            violations.append((str(g.normal_form()), g.caret_count, length))
-    return BoundsReport(radius, checked, tuple(violations))
+        if length and not lower <= length <= upper:  # the identity alone has length 0
+            violations.append((str(g), g.caret_count, length))
+    return BoundsReport(radius, len(ball) - 1, tuple(violations))
 
 
 def metric_estimate(g: GroupElement, oracle: WordMetricOracle | None = None,

@@ -95,7 +95,7 @@ class TestMetricCommands:
         assert (code, plain_err) == (0, "")
         assert searches == []  # the sphere sizes are counted
         code, out, err = run(capsys, "ball", "--radius", "9", "--stats")
-        assert searches == [9]
+        assert searches == []  # the stats follow from the counted sizes
         assert code == 0
         assert out == plain
         lines = err.splitlines()
@@ -130,6 +130,11 @@ class TestEmbeddingCommands:
         code, out, _ = run(capsys, "embed-psi", "--addresses", "", "--z", "2")
         assert code == 0
         assert out == "x0^2 x2^-1 x1^-1\n"
+
+    def test_embed_psi_bad_z_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "embed-psi", "x0", "--addresses", "0,11", "--z", "1,,2")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --z: invalid integer list: '1,,2'\n")
 
     def test_embed_psi_prefix_violation(self, capsys):
         code, _, err = run(capsys, "embed-psi", "x0", "--addresses", "1,11", "--z", "1")
@@ -305,6 +310,8 @@ GOLDEN = [
      "9460ab5d71c5a87dd4d40671ba65870a237caa62e8bd790d4466d7d9b97d2a3b"),
     (("ball", "--radius", "5", "--stats"),
      "eb443c7b9eca0e386683776633706b313f89c7c0a494d90c4267c9daf895ac85"),
+    (("ball", "--radius", "9", "--stats"),
+     "ac498c30b1a7abaf9ae624e37b18ed00560efaf5661f3da9e554864ae6433c3c"),
     (("embed-phi", "x0 x1^-1", "3"),
      "6e5f7b1b8ba7db162b643aaa46790e4cb5c3272064207092c6ce4a5788a51074"),
     (("embed-psi", "x0", "x1^2", "--addresses", "0,10,11", "--z", "2,-1"),
@@ -399,7 +406,8 @@ CALLS = {
     "metric": (["x0", "--radius", "2"], [["x0", "--pow", "z"], ["x0", "--rad", "2"]]),
     "ball": (["--radius", "2"], [["--radius", "z"], ["--st"]]),
     "embed-phi": (["x0", "2"], [["x0", "z"]]),
-    "embed-psi": (["x0", "--addresses", "0,11", "--z", "1"], [["--addr", "0,11"]]),
+    "embed-psi": (["x0", "--addresses", "0,11", "--z", "1"],
+                  [["--addr", "0,11"], ["x0", "--z", "1,,2"]]),
     "sweep": (["--samples", "2"], [["--samples", "z"], ["--embedding", "chi"],
                                    ["--emb", "psi", "--sa", "1"]]),
     "render": (["x0", "--format", "dot"], [["x0", "--format", "svg"], ["x0", "--form", "dot"]]),

@@ -94,6 +94,11 @@ class TestPinnedRelation:
         # two finite relators plus the sampled relations for 0 <= i < j <= 8
         assert len(report.entries) == 2 + 9 * 8 // 2
 
+    def test_verify_relators_refuses_a_negative_index(self):
+        with pytest.raises(ValueError, match="^max_index must be nonnegative$"):
+            verify_relators(-1)
+        assert verify_relators(0).passed  # the two finite relators alone
+
 
 class TestPowers:
     def test_power_zero_and_negative(self):

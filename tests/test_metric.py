@@ -240,9 +240,9 @@ class TestExactLength:
 
     def test_absent_outside_radius(self, searches):
         oracle = WordMetricOracle(cap=2)
-        assert oracle.exact_length(generator(2)) is None  # N - 2 = 2: searched
-        assert oracle.exact_length(generator(3), 2) is None  # N - 2 = 3: not searched
-        assert searches == [2]
+        assert oracle.exact_length(generator(2)) is None  # N - 2 = 2, |g| = 3
+        assert oracle.exact_length(generator(3), 2) is None  # N - 2 = 3
+        assert searches == []  # lengths come from the weights
 
     def test_cap_enforced(self):
         oracle = WordMetricOracle()
@@ -289,15 +289,14 @@ class TestSearchCount:
         oracle.ball(3)
         oracle.level_stats(2)
         assert oracle.exact_length(generator(2)) == 3
-        assert searches == [3, 2, 3]
+        assert searches == [3]  # only ball searches
         assert vars(oracle) == attributes  # nothing is set after construction
 
-    def test_search_stops_at_the_upper_bound(self, searches):
+    def test_search_stops_at_the_upper_bound(self):
         oracle = WordMetricOracle()
         assert oracle.exact_length(generator(0)) == 1  # 4N - 4 = 4
         assert oracle.exact_length(identity()) == 0
         assert oracle.exact_length(generator(1), 6) == 1  # 4N - 4 = 8
-        assert searches == [4, 0, 6]
 
     def test_far_element_is_not_searched(self, searches):
         assert WordMetricOracle().exact_length(generator(50)) is None
@@ -349,12 +348,29 @@ class TestForwardOnlySearch:
 
         monkeypatch.setattr(metric_module, "multiply", counting)
         oracle = WordMetricOracle()
+        oracle.ball(8)
         stats = oracle.level_stats(8)
         assert len(calls) == 11_720
         assert sum(s.products for s in stats) == 11_720
         assert [s.new for s in stats] == SPHERES_TO_8[1:]
         assert all(s.products == s.new + s.duplicates for s in stats)
         assert oracle.sphere_sizes(8) == SPHERES_TO_8
+
+
+    def test_level_stats_count_the_edges_of_the_radius_9_ball(self, ball9):
+        # each generator product of sphere d - 1 looked up in the ball: none
+        # stays on sphere d - 1 (the graph is bipartite), and those that land
+        # on sphere d are the search's products for that level
+        steps = (generator(0), inverse(generator(0)), generator(1), inverse(generator(1)))
+        up = [0] * 10
+        for g, length in ball9.items():
+            if length < 9:
+                lengths = [ball9.get(multiply(g, h)) for h in steps]
+                assert length not in lengths
+                up[length + 1] += lengths.count(length + 1)
+        stats = WordMetricOracle().level_stats(9)
+        assert [s.products for s in stats] == up[1:]
+        assert [s.new for s in stats] == [list(ball9.values()).count(d) for d in range(1, 10)]
 
 
 LARGE = settings(max_examples=5, deadline=None,

@@ -112,6 +112,19 @@ def test_sweep_and_metric_paths_grow_no_ball():
         assert _names_used(function.__code__) & search == set(), function.__name__
 
 
+def test_only_ball_and_the_bounds_check_search():
+    # level stats come from the counted spheres and exact lengths from the
+    # weights, so the search's only callers build a whole ball
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [f"{path.stem}.{node.name}" for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                            and call.func.id == "_search"]
+    assert sorted(callers) == ["metric.ball", "metric.check_bounds_on_ball"]
+
+
 ROOT = SRC.parents[1]
 
 EXPORTS = {
