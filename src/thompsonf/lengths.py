@@ -4,7 +4,9 @@
 weights, "Minimal length elements of Thompson's group F", Geom. Dedicata 99
 (2003). Sphere sizes are counted from the same table without building an
 element, in the manner of M. Elder, É. Fusy and A. Rechnitzer, "Counting
-elements and geodesics in Thompson's group F", J. Algebra 324 (2010).
+elements and geodesics in Thompson's group F", J. Algebra 324 (2010):
+``_reading_automaton`` alone knows what a state reading a tree means, and
+``_count_spheres`` is a packed fold over its rows of integers.
 
 It imports only ``trees``, so the breadth-first search in ``metric`` is an
 independent check; ``word_length`` reads only ``g.pair``.
@@ -77,59 +79,39 @@ def word_length(g: GroupElement) -> int:
 
 
 def _heavy_to_read(where: str, waiting: int) -> int:
-    """h of a reading state of ``_count_spheres``: the heavy carets (types
-    LL, I0, IR) its tree has still to read, the current caret included."""
+    """h of a reading state: the heavy carets (types LL, I0, IR) its tree has
+    still to read, the current caret included: waiting + 1 before the root
+    (the current interior caret, waiting - 1 interior carets and the left-arm
+    caret on top), waiting after it (the caret on top is on the right arm),
+    1 on the left arm past caret 0, and 0 otherwise."""
     return waiting + (where in ("LL", "before"))
 
 
-def _count_spheres(radius: int) -> list[int]:
-    """Element counts at each word length 0..radius on x0, x1, counted over
-    reduced tree pairs by caret weight without building any element.
+def _reading_automaton(radius: int) -> tuple[tuple[tuple, int, int], ...]:
+    """One immutable row (moves, h, waiting) per state that reads a tree.
 
-    Both trees are read in infix order, one caret of each per step. After a
-    caret whose right child is a caret, the reading descends the left chain
-    of that child and visits its bottom caret, while the carets above it
-    wait; after a caret whose right child is a leaf, the next caret is the
-    last one waiting. A tree's state is (where its current caret lies, the
-    carets waiting, whether the current caret's left child is a leaf), and a
-    move fixes the current caret's type. A step whose two carets each sit
-    over two leaves is dropped, so every pair counted is reduced.
-
-    Each (neg state, pos state) pair packs its counts in one int, S bits a
-    weight, so a move of weight w is a shift by w S and a mask. The mask
-    drops only counts that must pass the radius (proved, not just checked).
-    Call a caret heavy if its type is LL, I0 or IR, and let h of a state be
-    the heavy carets its tree has still to read: waiting + 1 before the root
-    (the current interior caret, waiting - 1 interior carets and the
-    left-arm caret that waits on top), waiting after it (the caret on top is
-    on the right arm), 1 on the left arm past caret 0, and 0 otherwise. Each
-    weight W[x][y] is at least [x heavy] + [y heavy] and a step reads one
-    caret of each tree, so the weight still to come is at least h(neg) +
-    h(pos). At radius 9 this keeps 1,295 pair-steps and builds 430 move
-    lists, where the bound max(waiting) kept 2,955 and built 1,006; the count
-    takes about 3 ms at radius 9 and 19 ms at radius 16.
-
-    At radius r, S is the bit length of (25 (r + 1)^2)^(r + 2), and no slot
-    carries (proved, not just checked): a count after k steps is at most
-    (25 (r + 1)^2)^k, as a step takes one of at most 25 move pairs and at
-    most r + 1 descent depths in each tree; k <= r + 1, as every step but
-    the first and last weighs at least 1; and a sphere size is at most 4^r.
+    A tree is read in infix order. After a caret whose right child is a
+    caret, the reading descends the left chain of that child and visits its
+    bottom caret, while the carets above it wait; after a caret whose right
+    child is a leaf, the next caret is the last one waiting. A state is
+    (where its current caret lies: caret 0, the rest of the left arm, the
+    right arm, or interior before or after the root; the carets waiting, at
+    most radius + 1; whether the current caret's left child is a leaf). Row
+    0 starts and the last, with no moves, is the end. A move is (the current
+    caret's type, whether it sits over two leaves, the next state's number);
+    h is ``_heavy_to_read``, and waiting is -1 unless the state may descend
+    one caret deeper, to the state two on.
     """
-    # where the current caret lies: caret 0, the rest of the left arm, the
-    # right arm, or interior before or after the root. On the left arm no
-    # caret waits: each one there chooses whether it is the root.
-    def moves(where, waiting, leaf):
+    # No caret waits on the left arm: each caret there chooses if it is the root.
+    def moves(where, waiting):
         """(type, right child is a leaf, next state or None at the end)."""
-        if where in ("L0", "LL"):
+        if where in ("L0", "LL"):  # two moves not at the root, then three at it
             kind = _L0 if where == "L0" else _LL
-            return ((kind, True, ("LL", 0, False)),          # not the root
-                    (kind, False, ("before", 1, True)),
-                    (kind, True, None),                      # the root
-                    (kind, False, ("right", 0, True)),
+            return ((kind, True, ("LL", 0, False)), (kind, False, ("before", 1, True)),
+                    (kind, True, None), (kind, False, ("right", 0, True)),
                     (kind, False, ("after", 1, True)))
         if where == "right":
-            return ((_R0, True, None),
-                    (_RNI, False, ("right", 0, True)),
+            return ((_R0, True, None), (_RNI, False, ("right", 0, True)),
                     (_RI, False, ("after", 1, True)))
         up = ((where, waiting - 1, False) if waiting > 1 else
               ("LL" if where == "before" else "right", 0, False))
@@ -138,28 +120,50 @@ def _count_spheres(radius: int) -> list[int]:
     states = [("L0", 0, True), ("LL", 0, False), ("right", 0, True), ("right", 0, False)]
     states += [(where, waiting, leaf) for where in ("before", "after")
                for waiting in range(1, radius + 2) for leaf in (True, False)]
-    # State numbers put one caret deeper two on and the end last; pair (a, b)
-    # is a n + b. Masks drop counts whose heavy carets pass the radius and
-    # pairs half read.
-    index = {state: i for i, state in enumerate(states)}
-    end = len(states)
-    table = [[(kind, state[2] and right_leaf, end if to is None else index[to])
-              for kind, right_leaf, to in moves(*state)] for state in states] + [[]]
-    states.append(("end", 0, False))
-    n = len(states)
+    index = {state: i for i, state in enumerate([*states, None])}  # None: the end
+    return tuple((tuple((kind, leaf and right_leaf, index[to])
+                        for kind, right_leaf, to in moves(where, waiting)),
+                  _heavy_to_read(where, waiting),
+                  waiting if leaf and where in ("before", "after") and waiting <= radius else -1)
+                 for where, waiting, leaf in states) + (((), 0, -1),)
+
+
+def _count_spheres(radius: int) -> list[int]:
+    """Element counts at each word length 0..radius on x0, x1, counted over
+    reduced tree pairs by caret weight without building any element: a
+    packed fold over the rows of ``_reading_automaton``, one caret of each
+    tree per step. A step whose two carets each sit over two leaves is
+    dropped, so every pair counted is reduced.
+
+    Each (neg state, pos state) pair packs its counts in one int, S bits a
+    weight, so a move of weight w is a shift by w S and a mask. The mask
+    drops only counts that must pass the radius (proved, not just checked).
+    Each weight W[x][y] is at least [x heavy] + [y heavy] and a step reads
+    one caret of each tree, so the weight still to come is at least h(neg) +
+    h(pos), h as in ``_heavy_to_read``. At radius 9 this keeps 1,295
+    pair-steps and builds 430 move lists, where the bound max(waiting) kept
+    2,955 and built 1,006; the count takes about 3 ms at radius 9 and 19 ms
+    at radius 16.
+
+    At radius r, S is the bit length of (25 (r + 1)^2)^(r + 2), and no slot
+    carries (proved, not just checked): a count after k steps is at most
+    (25 (r + 1)^2)^k, as a step takes one of at most 25 move pairs and at
+    most r + 1 descent depths in each tree; k <= r + 1, as every step but
+    the first and last weighs at least 1; and a sphere size is at most 4^r.
+    """
+    rows = _reading_automaton(radius)
+    n = len(rows)
     width = ((25 * (radius + 1) ** 2) ** (radius + 2)).bit_length()
     shifts = [w * width for w in range(5)]
     fits = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)]
-    # h per state; the end's h cuts every half-read pair, and the end pair
-    # (the last) keeps the whole radius.
-    heavy = [_heavy_to_read(where, waiting) for where, waiting, _ in states]
-    heavy[-1] = radius + 1
+    # Pair (a, b) is a n + b. The end's h, past the radius, cuts every pair
+    # read half; the end pair, the last, keeps the whole radius.
+    heavy = [h for _, h, _ in rows[:-1]] + [radius + 1]
     cut = fits[::-1] + [0] * 2 * max(heavy)  # cut[h] keeps weights <= radius - h
     masks = [cut[x + y] for x in heavy for y in heavy]
     masks[-1] = fits[radius]
-    descends = [waiting if leaf and where in ("before", "after") else -1
-                for where, waiting, leaf in states]
-    sides = ((2 * n, [a for a in descends for _ in states]), (2, descends * n))
+    descends = [waiting for _, _, waiting in rows]
+    sides = ((2 * n, [a for a in descends for _ in rows]), (2, descends * n))
 
     read = 1  # the packed counts of the pairs read to the end: the identity
     built: list[list[tuple[int, int, int]] | None] = [None] * (n * n)
@@ -167,25 +171,25 @@ def _count_spheres(radius: int) -> list[int]:
     while counts:
         nxt: defaultdict[int, int] = defaultdict(int)
         for pair, packed in counts.items():
-            found = built[pair]
-            if found is None:  # (shift, next pair, mask) of each move pair that can finish
+            # (shift, next pair, mask) of each move pair that can finish
+            if (found := built[pair]) is None:
                 neg, pos = divmod(pair, n)
                 found = built[pair] = [
                     (shifts[w], to, masks[to])
-                    for neg_type, neg_cherry, neg_next in table[neg]
-                    for pos_type, pos_cherry, pos_next in table[pos]
+                    for neg_type, neg_cherry, neg_next in rows[neg][0]
+                    for pos_type, pos_cherry, pos_next in rows[pos][0]
                     if (w := _WEIGHTS[neg_type][pos_type]) is not None
                     and not (neg_cherry and pos_cherry)
                     and masks[to := neg_next * n + pos_next] >> w * width]
             for shift, to, mask in found:
                 if moved := (packed << shift) & mask:
                     nxt[to] += moved
-        read += nxt.pop(end * n + end, 0)
+        read += nxt.pop(n * n - 1, 0)
         # A descent may go one caret deeper, any number of times: its bottom
         # caret then waits too. One tree at a time, fewest waiting first, so
         # each count is complete before it is carried deeper.
         for step, depth in sides:
-            by_waiting: list[list[int]] = [[] for _ in range(radius + 2)]
+            by_waiting: list[list[int]] = [[] for _ in range(radius + 1)]
             for pair in nxt:
                 if depth[pair] >= 0:
                     by_waiting[depth[pair]].append(pair)

@@ -281,13 +281,12 @@ def is_reduced(pair: TreePair) -> bool:
 def reduce_pair(pair: TreePair) -> TreePair:
     """Canonical form: cancel common exposed carets until none is left.
 
-    Cancellation is confluent; the carets that cancel are found by one
-    scan and one walk per tree (see _cancel). A reduced pair comes back as is.
+    Cancellation is confluent. One scan of the negative tree and one walk
+    of the positive tree find the common exposed carets, and _cancel the
+    carets that cancel. A reduced pair comes back as is.
     """
-    hits = sorted(_exposed_carets(pair.neg) & _exposed_carets(pair.pos))
-    if not hits:
-        return pair
-    return TreePair(*_cancel(pair.neg, pair.pos, hits, _probe(pair.pos, hits)[1]))
+    hits, up_pos = _probe(pair.pos, sorted(_exposed_carets(pair.neg)))
+    return TreePair(*_cancel(pair.neg, pair.pos, hits, up_pos)) if hits else pair
 
 
 def _probe(t: Tree, positions: list[int]) -> tuple[list[int], dict]:

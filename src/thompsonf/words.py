@@ -166,10 +166,6 @@ class NormalForm:
                     f"x{i} occurs in both parts but x{i + 1} in neither"
                 )
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.positive and not self.negative
-
     def word(self) -> Word:
         letters = [Letter(i, 1) for i, r in self.positive for _ in range(r)]
         letters += [Letter(j, -1) for j, s in reversed(self.negative) for _ in range(s)]

@@ -219,6 +219,10 @@ class TestZGenerators:
         assert z_generator(0) == el("x0 x1^-1")
         assert z_generator(1) == el("x2 x3^-1")
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="^index must be nonnegative$"):
+            z_generator(-1)
+
     def test_are_shifted_copies(self):
         for i in range(4):
             assert z_generator(i) == clone_map("1" * (2 * i), z_generator(0))

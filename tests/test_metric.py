@@ -1,7 +1,7 @@
 import heapq
 import io
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -44,7 +44,8 @@ from thompsonf import lengths as lengths_module
 from thompsonf import metric as metric_module
 from thompsonf import trees as trees_module
 from thompsonf.lengths import (_I0, _IR, _L0, _LL, _R0, _RI, _RNI, _WEIGHTS, _caret_types,
-                               _count_spheres, _heavy_to_read, word_length)
+                               _count_spheres, _heavy_to_read, _reading_automaton,
+                               word_length)
 from thompsonf.metric import _randbelow, random_element, random_tree
 
 from conftest import el, large_elements, within
@@ -417,6 +418,7 @@ class TestWordLength:
         for n in range(1, 7):
             trees.append([caret(left, right) for k in range(n)
                           for left in trees[k] for right in trees[n - 1 - k]])
+        census: Counter[tuple[int, int]] = Counter()  # (N, length) -> pairs
         for n, count in zip(range(2, 7), (2, 14, 108, 930, 8700)):
             pairs = [TreePair(neg, pos) for neg in trees[n] for pos in trees[n]]
             lengths = [word_length(GroupElement.from_pair(pair))
@@ -424,6 +426,34 @@ class TestWordLength:
             assert len(lengths) == count, n
             expected = (1, 1) if n == 2 else (n - 2, 4 * n - 8)
             assert (min(lengths), max(lengths)) == expected, n
+            census.update((n, length) for length in lengths)
+        assert len(census) == 35
+        # the counter's reading automaton, folded by caret count: one caret of
+        # each tree per step and descents between steps, with no radius cut
+        rows = _reading_automaton(6)
+        end, folded = len(rows) - 1, Counter()
+        counts = Counter({(0, 0, 0): 1})  # (neg state, pos state, length) -> pairs
+        for n in range(1, 7):
+            nxt: Counter[tuple[int, int, int]] = Counter()
+            for (neg, pos, length), count in counts.items():
+                for neg_type, neg_cherry, neg_next in rows[neg][0]:
+                    for pos_type, pos_cherry, pos_next in rows[pos][0]:
+                        w = _WEIGHTS[neg_type][pos_type]
+                        if w is None or (neg_cherry and pos_cherry):
+                            continue
+                        if neg_next == pos_next == end:
+                            folded[n, length + w] += count
+                        elif end not in (neg_next, pos_next):
+                            nxt[neg_next, pos_next, length + w] += count
+            # a tree with w carets waiting after n steps has at least n + 1 + w
+            # carets, so a descent past 5 - n waiting cannot finish by N = 6
+            for side in (0, 1):
+                for waiting in range(6 - n - 1):
+                    for key in [key for key in nxt if rows[key[side]][2] == waiting]:
+                        deeper = (key[0] + 2, key[1]) if side == 0 else (key[0], key[1] + 2)
+                        nxt[(*deeper, key[2])] += nxt[key]
+            counts = nxt
+        assert folded == census
 
     def test_sampler_trees_are_read_by_position(self):
         # the sampler's trees share the cherry and the two-caret combs between
@@ -516,6 +546,14 @@ class TestBoundsOnBall:
         assert report.passed
         assert report.checked == BALL_SIZES[5] - 1
         assert report.violations == ()
+
+    def test_a_lower_bound_one_too_high_is_caught(self, monkeypatch):
+        # the check can fail: under N - 1, x1 (N = 3, |x1| = 1) breaks the bracket
+        monkeypatch.setattr(metric_module, "length_bounds",
+                            lambda g: (g.caret_count - 1, 4 * g.caret_count - 4))
+        report = check_bounds_on_ball(2)
+        assert not report.passed
+        assert ("x1", 3, 1) in report.violations
 
     def test_radius_checked_against_the_default_cap(self, searches):
         with pytest.raises(ValueError, match="^radius 10 exceeds the oracle cap 9$"):
@@ -811,6 +849,15 @@ class TestSweep:
         for addresses in [("0",), ("1",), ("11", "0"), ()]:
             with pytest.raises(ValueError, match="address 11"):
                 EmbeddingSpec("phi", addresses, 1, 1)
+
+    @pytest.mark.parametrize("kind, addresses, m, n, message", [
+        ("chi", ("0", "1"), 1, 1, "embedding kind must be 'phi' or 'psi'"),
+        ("psi", ("0", "1"), 0, 1, r"product embedding needs m\+1 addresses"),
+        ("psi", ("0", "1"), 1, -1, "m and n must be nonnegative"),
+    ])
+    def test_spec_rejects_an_unknown_kind_and_bad_sizes(self, kind, addresses, m, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EmbeddingSpec(kind, addresses, m, n)
 
     def test_psi_spec_rejects_addresses_that_are_not_prefix_free(self):
         # checked when the spec is made, so a sweep of no samples rejects it too

@@ -101,6 +101,19 @@ def test_exact_lengths_import_only_trees():
     assert {name for name in named if name.split(".")[0] == "thompsonf"} == set()
 
 
+def test_sphere_count_reads_only_the_automaton_rows():
+    # what a reading state means lives in lengths._reading_automaton alone:
+    # the packed fold names no state by a string and asks no state its h
+    path = SRC / "lengths.py"
+    fold = next(node for node in ast.parse(path.read_text(), str(path)).body
+                if isinstance(node, ast.FunctionDef) and node.name == "_count_spheres")
+    strings = [node.value for statement in fold.body[1:] for node in ast.walk(statement)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    names = {node.id for node in ast.walk(fold) if isinstance(node, ast.Name)}
+    assert ast.get_docstring(fold) and strings == []
+    assert "_reading_automaton" in names and "_heavy_to_read" not in names
+
+
 def test_sweep_and_metric_paths_grow_no_ball():
     # exact lengths on these paths come from word_length; the search stays
     # for ball and for the tests that check word_length against it

@@ -278,6 +278,8 @@ class TestLeafExponents:
             tree_from_exponents((3, 0, 0))  # does not close
         with pytest.raises(ValueError):
             tree_from_exponents(())
+        with pytest.raises(ValueError, match="^exponents must be nonnegative$"):
+            tree_from_exponents([-1, 0])
 
 
 class TestReduce:
@@ -557,6 +559,17 @@ class TestSerialization:
         with pytest.raises(ParseError) as err:
             parse_tree("X")
         assert err.value.position == 0
+
+    def test_parse_rejects_short_and_trailing_text(self):
+        for text, message in [("", "unexpected end of input (position 0)"),
+                              ("(L ", "unexpected end of input (position 3)"),
+                              ("L L", "trailing input after tree (position 1)")]:
+            with pytest.raises(ParseError) as err:
+                parse_tree(text)
+            assert str(err.value) == message
+        with pytest.raises(ParseError) as err:
+            parse_pair("L")
+        assert str(err.value) == "expected ' | ' between the two trees (position 1)"
 
     def test_deep_pairs_serialize(self, default_recursion_limit):
         pair = power(generator(0), 1500).pair  # 1501 carets, leaf 0 of pos at depth 1501

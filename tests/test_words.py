@@ -9,6 +9,7 @@ from thompsonf import (
     GroupElement,
     element_of_word,
     is_reduced,
+    Letter,
     NormalForm,
     ParseError,
     TreePair,
@@ -181,6 +182,14 @@ class TestNormalFormType:
         with pytest.raises(ValueError):
             # x1 in both parts but no x2 anywhere
             NormalForm(((1, 1),), ((1, 1),))
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match="^negative generator index$"):
+            NormalForm(((-1, 1),))
+        with pytest.raises(ValueError, match="^shift amount must be nonnegative$"):
+            NormalForm().shift(-1)
+        with pytest.raises(ValueError, match=r"^sign must be \+1 or -1$"):
+            Letter(0, 2)
 
     def test_uniqueness_condition_satisfiable(self):
         NormalForm(((1, 1), (2, 1)), ((1, 1),))  # x2 present, fine
