@@ -105,13 +105,16 @@ def _reading_automaton(radius: int) -> tuple[tuple[tuple, int, int], ...]:
     # No caret waits on the left arm: each caret there chooses if it is the root.
     def moves(where, waiting):
         """(type, right child is a leaf, next state or None at the end)."""
-        if where in ("L0", "LL"):  # two moves not at the root, then three at it
+        if where in ("L0", "LL"):
             kind = _L0 if where == "L0" else _LL
-            return ((kind, True, ("LL", 0, False)), (kind, False, ("before", 1, True)),
-                    (kind, True, None), (kind, False, ("right", 0, True)),
+            return ((kind, True, ("LL", 0, False)),          # not the root
+                    (kind, False, ("before", 1, True)),
+                    (kind, True, None),                      # the root
+                    (kind, False, ("right", 0, True)),
                     (kind, False, ("after", 1, True)))
         if where == "right":
-            return ((_R0, True, None), (_RNI, False, ("right", 0, True)),
+            return ((_R0, True, None),
+                    (_RNI, False, ("right", 0, True)),
                     (_RI, False, ("after", 1, True)))
         up = ((where, waiting - 1, False) if waiting > 1 else
               ("LL" if where == "before" else "right", 0, False))
@@ -142,8 +145,7 @@ def _count_spheres(radius: int) -> list[int]:
     one caret of each tree, so the weight still to come is at least h(neg) +
     h(pos), h as in ``_heavy_to_read``. At radius 9 this keeps 1,295
     pair-steps and builds 430 move lists, where the bound max(waiting) kept
-    2,955 and built 1,006; the count takes about 3 ms at radius 9 and 19 ms
-    at radius 16.
+    2,955 and built 1,006.
 
     At radius r, S is the bit length of (25 (r + 1)^2)^(r + 2), and no slot
     carries (proved, not just checked): a count after k steps is at most
@@ -154,7 +156,6 @@ def _count_spheres(radius: int) -> list[int]:
     rows = _reading_automaton(radius)
     n = len(rows)
     width = ((25 * (radius + 1) ** 2) ** (radius + 2)).bit_length()
-    shifts = [w * width for w in range(5)]
     fits = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)]
     # Pair (a, b) is a n + b. The end's h, past the radius, cuts every pair
     # read half; the end pair, the last, keeps the whole radius.
@@ -171,11 +172,11 @@ def _count_spheres(radius: int) -> list[int]:
     while counts:
         nxt: defaultdict[int, int] = defaultdict(int)
         for pair, packed in counts.items():
-            # (shift, next pair, mask) of each move pair that can finish
-            if (found := built[pair]) is None:
+            found = built[pair]
+            if found is None:  # (shift, next pair, mask) of each move pair that can finish
                 neg, pos = divmod(pair, n)
                 found = built[pair] = [
-                    (shifts[w], to, masks[to])
+                    (w * width, to, masks[to])
                     for neg_type, neg_cherry, neg_next in rows[neg][0]
                     for pos_type, pos_cherry, pos_next in rows[pos][0]
                     if (w := _WEIGHTS[neg_type][pos_type]) is not None

@@ -286,7 +286,9 @@ def reduce_pair(pair: TreePair) -> TreePair:
     carets that cancel. A reduced pair comes back as is.
     """
     hits, up_pos = _probe(pair.pos, sorted(_exposed_carets(pair.neg)))
-    return TreePair(*_cancel(pair.neg, pair.pos, hits, up_pos)) if hits else pair
+    if not hits:
+        return pair
+    return TreePair(*_cancel(pair.neg, pair.pos, hits, up_pos))
 
 
 def _probe(t: Tree, positions: list[int]) -> tuple[list[int], dict]:
