@@ -71,6 +71,7 @@ def clone_map(address: str, g: GroupElement) -> GroupElement:
     validate_address(address)
     if g.is_identity:
         return g
+    _check_carets(g.caret_count + len(address), f"clone map at depth {len(address)}")
     return _element(
         TreePair(graft_at(g.pair.neg, address), graft_at(g.pair.pos, address))
     )
@@ -103,7 +104,7 @@ def embed_f_z(w: GroupElement, t: int) -> GroupElement:
     w's trees at its leaf "11". The two commute, the map is a
     homomorphism, and N(image) = N(w) + |t| + 2 when w != 1 and t != 0.
     """
-    _check_carets(abs(t), f"Z height {t}")
+    _check_carets(w.caret_count + abs(t) + 2, f"Z height {t}")
     return _element(TreePair(*_z_level(t, w.pair.neg, w.pair.pos)))
 
 
@@ -147,9 +148,11 @@ def _product_builder(addresses: tuple[str, ...]):
                 climb.append(1)
         plan.append((i, tuple(climb)))
         waiting.append(stop)
+    skeleton = sum(len(climb) for _, climb in plan)  # carets before cancelling
 
     def build(f_factors: Sequence[GroupElement], z_factors: Sequence[int]) -> GroupElement:
-        _check_carets(sum(map(abs, z_factors)), "the Z heights")
+        _check_carets(skeleton + sum(w.caret_count for w in f_factors)
+                      + sum(abs(t) + 2 for t in z_factors), "product embedding")
         x = y = LEAF
         for t in reversed(z_factors):
             x, y = _z_level(t, x, y)

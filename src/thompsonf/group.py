@@ -1,9 +1,9 @@
 """Group structure on canonical reduced tree pair diagrams.
 
 Multiplication goes through the common refinement of the two pairs and
-always returns a reduced pair, so structural equality of elements is
-group equality. The composition order is pinned by the defining relation
-of the infinite presentation:
+always returns a reduced pair, cancelled locally by ``trees._cancel``, so
+structural equality of elements is group equality. The composition order
+is pinned by the defining relation of the infinite presentation:
 
     multiply(multiply(inverse(x0), x1), x0) == x2
 
@@ -12,10 +12,10 @@ which makes ``multiply(a, b)`` agree with concatenating words a then b.
 A word becomes an element with no product at all: each letter rotates one
 caret of a pair diagram held in flat index arrays (element_of_word), so a
 word of n letters in runs of indices i_1, i_2, ... costs O(n + i_1 + i_2 +
-...). ``generator``, ``power``, ``from_normal_form``, the shift and Z
-generators and Z levels of the embeddings, and the random sampler refuse,
-before building anything, elements that could need more than
-``_MAX_CARETS`` carets.
+...). ``generator``, ``power``, ``from_normal_form``, the embeddings' shift
+and Z generators, clone maps, F x Z images and product embeddings, and the
+random sampler refuse, before building anything, elements that could need
+more than ``_MAX_CARETS`` carets.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .trees import (
     IDENTITY_PAIR,
     LEAF,
     TreePair,
+    _cancel,
+    _candidates,
     _node,
     caret_count,
     combs,
@@ -37,7 +39,6 @@ from .trees import (
     is_reduced,
     leaf_growths,
     reduce_pair,
-    reduce_product,
     union_tree,
 )
 from .words import (
@@ -142,7 +143,7 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     the union of a's negative and b's positive tree, which is never built:
     one walk of those two trees gives both lists of leaf growths. The
     outer trees, expanded by the same growths, form the product pair,
-    which reduce_product cancels locally. Cost: O(size of the smaller factor)
+    which _cancel reduces locally at the smaller factor's _candidates. Cost: O(size of the smaller factor)
     plus the root paths rebuilt to the growths and cancelled carets,
     so multiplying a large element by a generator does not walk it.
     """
@@ -151,9 +152,9 @@ def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     a_spans, b_spans = leaf_growths(an, bp)
     ap2, bn2 = expand_leaves(ap, a_spans), expand_leaves(bn, b_spans)
     if ap.leaves <= bn.leaves:
-        ap2, bn2 = reduce_product(ap, a_spans, ap2, bn2)
+        ap2, bn2 = _cancel(ap2, bn2, _candidates(ap, a_spans))
     else:
-        bn2, ap2 = reduce_product(bn, b_spans, bn2, ap2)
+        bn2, ap2 = _cancel(bn2, ap2, _candidates(bn, b_spans))
     return _element(TreePair(bn2, ap2))
 
 
@@ -194,12 +195,12 @@ def element_of_word(word: Iterable[Letter]) -> GroupElement:
     it back (J. Belk and K. Brown, IJAC 15, 2005), so a run x_i^{+-k} is k
     rotations at v. Where the walk or a rotation needs a caret the diagram
     lacks, the leaf and its partner grow one comb each for the rest of the
-    run, so at most twice per run. As in reduce_product, a growth caret
-    never cancels: only the run's first new caret can lie over two leaves,
-    and cancelling a caret can expose only its parent. The diagram lives in
-    flat index arrays, private to the call, and both trees are frozen into
-    Trees once, at the end. Cost: O(i + k) per run plus the carets
-    cancelled, and O(N) to freeze; nothing recurses.
+    run, so at most twice per run. As in a product's trees._cancel, a
+    growth caret never cancels: only the run's first new caret can lie over
+    two leaves, and cancelling a caret can expose only its parent. The
+    diagram lives in flat index arrays, private to the call, and both trees
+    are frozen into Trees once, at the end. Cost: O(i + k) per run plus the
+    carets cancelled, and O(N) to freeze; nothing recurses.
     """
     # node 0 is the negative root and node 1 the positive; a leaf has left -1,
     # and its partner is the leaf with the same number in the other tree

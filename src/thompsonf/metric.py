@@ -59,14 +59,14 @@ _MAX_CAP = 12
 
 
 class CapLimitError(ValueError):
-    """An oracle cap over ``_MAX_CAP``."""
+    """An oracle cap over ``_MAX_CAP``, or a radius over the cap in force."""
 
 
 def _check_radius(radius: int, cap: int = DEFAULT_RADIUS_CAP) -> None:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius > cap:
-        raise ValueError(f"radius {radius} exceeds the oracle cap {cap}")
+        raise CapLimitError(f"radius {radius} exceeds the oracle cap {cap}")
 
 
 def length_bounds(g: GroupElement) -> tuple[int, int]:

@@ -18,9 +18,11 @@ Internal construction uses ``_node``, which skips ``Tree``'s check. The
 comb table (``combs``, up to 64 carets) has three users: ``group`` builds
 every x_i^k on a comb pair, each embedding Z level hangs one, and the
 sampler shares the one- and two-caret combs, as all trees share ``LEAF``.
-A product of reduced pairs (leaf_growths, one walk for both factors;
-expand_leaves; reduce_product) costs time in the size of the smaller factor
-plus the root paths it rebuilds, not the larger; reduce_pair is linear.
+Every cancellation of common exposed carets goes through ``_cancel``. A
+product of reduced pairs (leaf_growths, one walk for both factors;
+expand_leaves; _cancel at the _candidates) costs time in the size of the
+smaller factor plus the root paths it rebuilds, not the larger;
+reduce_pair is linear.
 
 Text format (bit-exact): ``tree ::= "L" | "(" tree " " tree ")"`` and a
 pair serializes as ``"negtree | postree"``.
@@ -281,14 +283,12 @@ def is_reduced(pair: TreePair) -> bool:
 def reduce_pair(pair: TreePair) -> TreePair:
     """Canonical form: cancel common exposed carets until none is left.
 
-    Cancellation is confluent. One scan of the negative tree and one walk
-    of the positive tree find the common exposed carets, and _cancel the
-    carets that cancel. A reduced pair comes back as is.
+    Cancellation is confluent, so one _cancel with every exposed caret of
+    the negative tree as a candidate reaches the canonical form. A reduced
+    pair comes back as is.
     """
-    hits, up_pos = _probe(pair.pos, sorted(_exposed_carets(pair.neg)))
-    if not hits:
-        return pair
-    return TreePair(*_cancel(pair.neg, pair.pos, hits, up_pos))
+    neg, pos = _cancel(pair.neg, pair.pos, sorted(_exposed_carets(pair.neg)))
+    return pair if pos is pair.pos else TreePair(neg, pos)
 
 
 def _probe(t: Tree, positions: list[int]) -> tuple[list[int], dict]:
@@ -317,12 +317,16 @@ def _probe(t: Tree, positions: list[int]) -> tuple[list[int], dict]:
     return hits, parent
 
 
-def _cancel(a: Tree, b: Tree, hits: list[int], up_b: dict) -> tuple[Tree, Tree]:
-    """Cancel the common exposed carets ``hits`` of ``a`` and ``b`` and all
-    that they uncover; ``up_b`` maps nodes of ``b`` on the hits' root paths
-    to their parents. A cancelled caret can only expose its parent, which
-    cancels when its other child is a leaf or cancelled, in both trees;
-    then each tree is rebuilt once."""
+def _cancel(a: Tree, b: Tree, candidates: list[int]) -> tuple[Tree, Tree]:
+    """``a`` and ``b`` with the common exposed carets among the sorted
+    ``candidates`` cancelled, and all that they uncover; the same two trees
+    when ``b`` has none of them. A cancelled caret can only expose its
+    parent, which cancels when its other child is a leaf or cancelled, in
+    both trees; then each tree is rebuilt once. Cost: the root paths of ``b``
+    to the candidates and of ``a`` to the hits, walked and rebuilt."""
+    hits, up_b = _probe(b, candidates)
+    if not hits:
+        return a, b
     up_a = _probe(a, hits)[1]
     cancelled: dict[int, int] = {}  # first leaf -> size of each topmost cancelled node
     for first in hits:
@@ -418,7 +422,10 @@ def expand_leaves(t: Tree, spans: list[tuple[int, int, Tree]]) -> Tree:
 
 def _candidates(base: Tree, spans: list[tuple[int, int, Tree]]) -> list[int]:
     """Sorted exposed carets of ``base`` over two leaves no span grows,
-    numbered as in ``base`` grown by ``spans``."""
+    numbered as in ``base`` grown by ``spans``. In a product of two reduced
+    pairs these are the only carets of the grown outer tree that can cancel:
+    a growth caret never cancels, or the factor it came from would not be
+    reduced."""
     out: list[int] = []
     shift = j = 0
     for m in sorted(_exposed_carets(base)):
@@ -428,22 +435,6 @@ def _candidates(base: Tree, spans: list[tuple[int, int, Tree]]) -> list[int]:
         if j == len(spans) or spans[j][0] > m + 1:
             out.append(m + shift)
     return out
-
-
-def reduce_product(base: Tree, spans: list[tuple[int, int, Tree]],
-                   grown: Tree, other: Tree) -> tuple[Tree, Tree]:
-    """Reduce the pair of outer trees of a product of two reduced pairs.
-
-    ``grown`` is ``base``, an outer tree of one factor, expanded by
-    ``spans``; ``other`` is the other factor's expanded outer tree. A
-    growth caret never cancels (its factor would not be reduced), so the
-    common exposed carets are the exposed carets of ``base`` over ungrown
-    leaves that ``other`` has too. Both trees come back in argument order.
-    Cost: O(|base|) plus the root paths walked to its candidates and
-    rebuilt above the cancelled carets.
-    """
-    hits, up_other = _probe(other, _candidates(base, spans))
-    return _cancel(grown, other, hits, up_other) if hits else (grown, other)
 
 
 # --- text and DOT serialization ---

@@ -9,7 +9,7 @@ import pytest
 
 from thompsonf import generator, parse_pair, power
 from thompsonf import metric as metric_module
-from thompsonf.cli import COMMANDS, build_parser, main
+from thompsonf.cli import COMMANDS, build_parser, main, main_entry
 
 
 def run(capsys, *argv):
@@ -239,8 +239,8 @@ class TestErrors:
 
     def test_caret_cap_is_an_error_that_names_it(self, capsys):
         for argv, what in [(("pow", "x0", "--pow", "500001"), "power 500001 could need 1000002"),
-                           (("embed-phi", "x0", "1000001"), "Z height 1000001 could need 1000001"),
-                           (("embed-psi", "--z", "1000000,1"), "the Z heights could need 1000001")]:
+                           (("embed-phi", "x0", "1000001"), "Z height 1000001 could need 1000005"),
+                           (("embed-psi", "--z", "1000000,1"), "product embedding could need 1000005")]:
             assert run(capsys, *argv) == (
                 1, "", f"error: {what} carets, more than _MAX_CARETS = 1000000\n")
 
@@ -451,3 +451,8 @@ def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["thompsonf", "--help"])
     assert main() == 0
     assert capsys.readouterr().out.startswith("usage: thompsonf [-h]")
+    monkeypatch.setattr(sys, "argv", ["thompsonf", "nf", "x1 x0"])
+    with pytest.raises(SystemExit) as done:  # the installed script's entry point
+        main_entry()
+    assert done.value.code == 0
+    assert capsys.readouterr().out == "x0 x2\n"

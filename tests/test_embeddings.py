@@ -332,20 +332,53 @@ class TestProductEmbedding:
 class TestZHeightLimit:
     def test_heights_just_over_the_cap_raise(self, monkeypatch):
         cap = group_module._MAX_CARETS
-        monkeypatch.setattr(embeddings_module, "combs", None)  # nothing may be built
-        with pytest.raises(group_module.CaretLimitError, match=f"Z height {-cap - 1}"):
-            embed_f_z(generator(0), -cap - 1)
-        with pytest.raises(group_module.CaretLimitError, match="the Z heights"):
-            embed_product(("0", "1"), (generator(0),), (cap // 2, -(cap // 2) - 1))
+        monkeypatch.setattr(embeddings_module, "_z_level", None)  # nothing may be built
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^Z height {-cap + 3} could need {cap + 1} carets"):
+            embed_f_z(generator(0), -cap + 3)
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^product embedding could need {cap + 1} carets"):
+            embed_product(("",), (), [0] * (cap // 2 - 1) + [1])
 
     def test_heights_at_a_small_cap(self, monkeypatch):
-        monkeypatch.setattr(group_module, "_MAX_CARETS", 5)
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 7)
         assert embed_f_z(identity(), 5).caret_count == 7
-        assert embed_product(("",), (), (2, -3)).caret_count == 2 + 2 + 3 + 2
+        assert embed_f_z(generator(0), 3).caret_count == 7
         with pytest.raises(group_module.CaretLimitError):
             embed_f_z(identity(), 6)
         with pytest.raises(group_module.CaretLimitError):
+            embed_f_z(generator(0), -4)
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 9)
+        assert embed_product(("",), (), (2, -3)).caret_count == 2 + 2 + 3 + 2
+        with pytest.raises(group_module.CaretLimitError):
             embed_product(("",), (), (3, -3))
+
+
+class TestCloneAndSkeletonLimit:
+    def test_just_over_the_cap_raise(self, monkeypatch):
+        cap = group_module._MAX_CARETS
+        monkeypatch.setattr(embeddings_module, "graft_at", None)  # nothing may be built
+        monkeypatch.setattr(embeddings_module, "_join", None)
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^clone map at depth {cap - 1} could need {cap + 1} carets"):
+            clone_map("0" * (cap - 1), generator(0))
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^product embedding could need {cap + 1} carets"):
+            embed_product(("0" * (cap - 1), "1"), (generator(0),), ())
+
+    def test_at_a_small_cap(self, monkeypatch):
+        monkeypatch.setattr(group_module, "_MAX_CARETS", 12)
+        x0 = generator(0)
+        assert clone_map("0" * 10, x0).caret_count == 12
+        assert clone_map("0" * 20, identity()) == identity()
+        assert embed_product(("0" * 10, "1"), (x0,), ()).caret_count == 12
+        assert embed_product(("0" * 7, "1"), (x0,), (1,)).caret_count == 12
+        with pytest.raises(group_module.CaretLimitError):
+            clone_map("0" * 11, x0)
+        with pytest.raises(group_module.CaretLimitError):
+            embed_product(("0" * 11, "1"), (x0,), ())
+        with pytest.raises(group_module.CaretLimitError):
+            embed_product(("0" * 8, "1"), (x0,), (1,))
 
 
 class TestShiftAndZGeneratorLimit:

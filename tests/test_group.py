@@ -54,6 +54,10 @@ class TestBasicLaws:
         assert multiply(g, inverse(g)) == identity()
         assert multiply(inverse(g), g) == identity()
 
+    def test_repr_names_the_normal_form(self):
+        assert repr(generator(0)) == "GroupElement('x0')"
+        assert repr(identity()) == "GroupElement(identity)"
+
     def test_inverse_examples(self):
         assert inverse(identity()) == identity()
         assert inverse(generator(0)).normal_form() == NormalForm((), ((0, 1),))

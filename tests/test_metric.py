@@ -279,6 +279,16 @@ class TestExactLength:
                 WordMetricOracle(cap=cap + 1)
         assert WordMetricOracle(cap=12).sphere_sizes(12) == SPHERES_TO_12  # counted
 
+    def test_radius_over_the_cap_is_a_cap_limit_error(self, searches):
+        over = "^radius 10 exceeds the oracle cap 9$"
+        with pytest.raises(metric_module.CapLimitError, match=over):
+            metric_estimate(generator(0), search_radius=10)
+        with pytest.raises(metric_module.CapLimitError, match=over):
+            distortion_sweep(f_z_spec(), 1, search_radius=10)
+        with pytest.raises(metric_module.CapLimitError, match=over):
+            WordMetricOracle().ball(10)
+        assert searches == []
+
 
 class TestSearchCount:
     def test_each_search_query_runs_one_search(self, searches):

@@ -138,6 +138,21 @@ def test_only_ball_and_the_bounds_check_search():
     assert sorted(callers) == ["metric.ball", "metric.check_bounds_on_ball"]
 
 
+def test_only_cancel_probes():
+    # reduce_pair and every product cancel through trees._cancel, the one
+    # routine that probes; no separate product reduction is left
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        assert "reduce_product" not in text, path.name
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [f"{path.stem}.{node.name}" for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                            and call.func.id == "_probe"]
+    assert set(callers) == {"trees._cancel"}
+
+
 ROOT = SRC.parents[1]
 
 EXPORTS = {

@@ -541,6 +541,14 @@ class TestSerialization:
         assert format_pair(TreePair(LEAF, LEAF)) == "L | L"
         assert format_pair(el("x0").pair) == "(L (L L)) | ((L L) L)"
 
+    def test_reprs(self):
+        assert repr(el("x0").pair) == "TreePair[(L (L L)) | ((L L) L)]"
+        assert repr(LEFT_COMB_2) == "Tree[((L L) L)]"
+
+    def test_tree_equality_defers_to_other_types(self):
+        assert LEAF.__eq__("L") is NotImplemented
+        assert LEAF != "L"
+
     @given(trees())
     def test_roundtrip(self, t):
         assert parse_tree(format_tree(t)) == t

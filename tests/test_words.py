@@ -48,6 +48,9 @@ class TestParsing:
         assert parse_word("") == ()
         assert parse_word("x2^3") == (x(2), x(2), x(2))
 
+    def test_letters_print_as_generators(self):
+        assert (str(x(3)), str(xinv(3))) == ("x3", "x3^-1")
+
     def test_zero_exponent_drops_term(self):
         assert parse_word("x3^0") == ()
 
