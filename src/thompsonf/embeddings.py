@@ -54,7 +54,6 @@ def shift(g: GroupElement, k: int = 1) -> GroupElement:
     """k-fold shift: every normal form index rises by k; N grows by k."""
     if k < 0:
         raise ValueError("shift amount must be nonnegative")
-    _check_carets(g.caret_count + k, f"shift {k}")
     return clone_map("1" * k, g)
 
 

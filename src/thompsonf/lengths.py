@@ -6,7 +6,8 @@ weights, "Minimal length elements of Thompson's group F", Geom. Dedicata 99
 element, in the manner of M. Elder, É. Fusy and A. Rechnitzer, "Counting
 elements and geodesics in Thompson's group F", J. Algebra 324 (2010):
 ``_reading_automaton`` alone knows what a state reading a tree means, and
-``_count_spheres`` is a packed fold over its rows of integers.
+``_count_spheres`` is a packed fold over its rows of integers, keyed by
+unordered pairs of states, as g and its inverse have the same length.
 
 It imports only ``trees``, so the breadth-first search in ``metric`` is an
 independent check; ``word_length`` reads only ``g.pair``.
@@ -143,15 +144,24 @@ def _count_spheres(radius: int) -> list[int]:
     drops only counts that must pass the radius (proved, not just checked).
     Each weight W[x][y] is at least [x heavy] + [y heavy] and a step reads
     one caret of each tree, so the weight still to come is at least h(neg) +
-    h(pos), h as in ``_heavy_to_read``. At radius 9 this keeps 1,295
-    pair-steps and builds 430 move lists, where the bound max(waiting) kept
-    2,955 and built 1,006.
+    h(pos), h as in ``_heavy_to_read``.
+
+    Only pairs a <= b are kept: swapping the trees gives g^-1, of length
+    |g|, and W (None cells too), the cherry rule, the mask of (a, b) (it
+    reads h(a) + h(b)) and the automaton reading each tree are symmetric,
+    so by induction (a, b) and (b, a) hold equal counts after each step and
+    descent. From (a, a) a move pair is kept if it lands on x <= y, as its
+    mirror lands on (y, x); from a < b it lands at (min, max), doubled by
+    one more bit of shift on x = y, where (b, a) adds the same. A descent
+    moves one tree, so it runs on the pairs mirrored. At radius 9 this keeps
+    674 pair-steps and builds 222 move lists (1,295 and 430 unfolded).
 
     At radius r, S is the bit length of (25 (r + 1)^2)^(r + 2), and no slot
-    carries (proved, not just checked): a count after k steps is at most
-    (25 (r + 1)^2)^k, as a step takes one of at most 25 move pairs and at
-    most r + 1 descent depths in each tree; k <= r + 1, as every step but
-    the first and last weighs at least 1; and a sphere size is at most 4^r.
+    carries (proved, not just checked): a count after k steps, doubled or
+    not, is one ordered pair's, at most (25 (r + 1)^2)^k, as a step takes
+    one of at most 25 move pairs and at most r + 1 descent depths in each
+    tree; k <= r + 1, as every step but the first and last weighs at least
+    1; and a sphere size is at most 4^r.
     """
     rows = _reading_automaton(radius)
     n = len(rows)
@@ -176,16 +186,18 @@ def _count_spheres(radius: int) -> list[int]:
             if found is None:  # (shift, next pair, mask) of each move pair that can finish
                 neg, pos = divmod(pair, n)
                 found = built[pair] = [
-                    (w * width, to, masks[to])
-                    for neg_type, neg_cherry, neg_next in rows[neg][0]
-                    for pos_type, pos_cherry, pos_next in rows[pos][0]
+                    (w * width + (neg < pos and x == y), to, masks[to])
+                    for neg_type, neg_cherry, x in rows[neg][0]
+                    for pos_type, pos_cherry, y in rows[pos][0]
                     if (w := _WEIGHTS[neg_type][pos_type]) is not None
                     and not (neg_cherry and pos_cherry)
-                    and masks[to := neg_next * n + pos_next] >> w * width]
+                    and (neg < pos or x <= y)
+                    and masks[to := min(x, y) * n + max(x, y)] >> w * width]
             for shift, to, mask in found:
                 if moved := (packed << shift) & mask:
                     nxt[to] += moved
         read += nxt.pop(n * n - 1, 0)
+        nxt.update({pair % n * n + pair // n: packed for pair, packed in nxt.items()})
         # A descent may go one caret deeper, any number of times: its bottom
         # caret then waits too. One tree at a time, fewest waiting first, so
         # each count is complete before it is carried deeper.
@@ -200,5 +212,5 @@ def _count_spheres(radius: int) -> list[int]:
                         if pair + step not in nxt:
                             by_waiting[depth[pair + step]].append(pair + step)
                         nxt[pair + step] += moved
-        counts = nxt
+        counts = {pair: packed for pair, packed in nxt.items() if pair // n <= pair % n}
     return [read >> w * width & fits[0] for w in range(radius + 1)]

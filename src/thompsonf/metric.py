@@ -53,7 +53,7 @@ from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
 
 DEFAULT_RADIUS_CAP = 9
 # Largest oracle cap. The constructor counts to its cap, which is cheap (12
-# takes 7 ms, 36 takes 0.6 s), but ball searches to it: radius 12 takes 20 s
+# takes 5 ms, 36 takes 0.4 s), but ball searches to it: radius 12 takes 20 s
 # and 577 MB, and each further sphere is about 2.8 times the last.
 _MAX_CAP = 12
 

@@ -384,10 +384,10 @@ class TestCloneAndSkeletonLimit:
 class TestShiftAndZGeneratorLimit:
     def test_just_over_the_cap_raise(self, monkeypatch):
         cap = group_module._MAX_CARETS
-        monkeypatch.setattr(embeddings_module, "clone_map", None)  # nothing may be built
+        monkeypatch.setattr(embeddings_module, "graft_at", None)  # nothing may be built
         monkeypatch.setattr(embeddings_module, "generator", None)
         with pytest.raises(group_module.CaretLimitError,
-                           match=f"^shift {cap - 1} could need {cap + 1} carets"):
+                           match=f"^clone map at depth {cap - 1} could need {cap + 1} carets"):
             shift(generator(0), cap - 1)
         with pytest.raises(group_module.CaretLimitError,
                            match=f"^z_generator\\({cap // 2 - 1}\\) could need {cap + 1} carets"):

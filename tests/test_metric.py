@@ -550,6 +550,22 @@ class TestHeavyCaretPrune:
         assert _count_spheres(10) != expected
 
 
+class TestInverseFold:
+    def test_weights_equal_their_transpose(self):
+        # the premise of _count_spheres' fold by g -> g^-1, None cells included
+        assert _WEIGHTS == tuple(zip(*_WEIGHTS))
+
+    def test_one_asymmetric_weight_splits_the_fold_from_the_reference(self, monkeypatch):
+        expected = reference_count_spheres(2)
+        table = [list(row) for row in _WEIGHTS]
+        table[_LL][_R0] += 1  # still covers its heavy caret, so the prune stays exact
+        table = tuple(map(tuple, table))
+        monkeypatch.setattr(lengths_module, "_WEIGHTS", table)
+        monkeypatch.setitem(globals(), "_WEIGHTS", table)
+        assert reference_count_spheres(2) != expected
+        assert _count_spheres(2) != reference_count_spheres(2)
+
+
 class TestBoundsOnBall:
     def test_radius_five_clean(self):
         report = check_bounds_on_ball(5)
