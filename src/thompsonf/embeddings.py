@@ -67,10 +67,12 @@ def clone_map(address: str, g: GroupElement) -> GroupElement:
     The grafted pair needs no reduce_pair scan: unless g is the identity,
     each spine caret has a non-leaf child, so the pair stays reduced.
     """
-    validate_address(address)
     if g.is_identity:
+        validate_address(address)
         return g
+    # the cap first, so an address far past it is never walked
     _check_carets(g.caret_count + len(address), f"clone map at depth {len(address)}")
+    validate_address(address)
     return _element(
         TreePair(graft_at(g.pair.neg, address), graft_at(g.pair.pos, address))
     )

@@ -53,8 +53,8 @@ from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
 
 DEFAULT_RADIUS_CAP = 9
 # Largest oracle cap. The constructor counts to its cap, which is cheap (12
-# takes 5 ms, 36 takes 0.4 s), but ball searches to it: radius 12 takes 20 s
-# and 577 MB, and each further sphere is about 2.8 times the last.
+# takes 5 ms, 36 takes 0.4 s), but ball searches to it: radius 12 takes 33 s
+# and 420 MB, and each further sphere is about 2.8 times the last.
 _MAX_CAP = 12
 
 
@@ -238,13 +238,13 @@ def _randbelow(getrandbits, n: int) -> int:
     return r
 
 
-def _draw(getrandbits, carets: int, keys: set[int], cut: bool) -> tuple[Tree, list]:
+def _draw(getrandbits, carets: int, record: set[int], cancel: set[int]) -> tuple[Tree, list]:
     """random_tree's tree, drawn in the same preorder without recursion and
     sharing its subtrees of one and two carets. A caret's key packs its first
-    leaf and carets. Without ``cut`` each key goes into ``keys``; with it, a
-    caret over two leaves (or cut carets) whose key is in ``keys`` is cut to
-    a leaf. Returns the tree and the sorted spans (first, leaves, LEAF) of
-    the topmost cut carets."""
+    leaf and carets. Each key goes into ``record``, and a caret over two
+    leaves (or cut carets) whose key is in ``cancel`` is cut to a leaf.
+    Returns the tree and the sorted spans (first, leaves, LEAF) of the
+    topmost cut carets."""
     n = carets + 1
     done: list[Tree] = []
     cuts: list[tuple[int, int, Tree]] = []
@@ -256,11 +256,10 @@ def _draw(getrandbits, carets: int, keys: set[int], cut: bool) -> tuple[Tree, li
             left = _randbelow(getrandbits, c)
             key = leaf * n + c
             todo += (~key, c - 1 - left, left)
-            if not cut:
-                keys.add(key)
+            record.add(key)
         elif c < 0:
             right = done.pop()
-            if cut and right is LEAF and done[-1] is LEAF and ~c in keys:
+            if right is LEAF and done[-1] is LEAF and ~c in cancel:
                 first, size = divmod(~c, n)
                 while cuts and cuts[-1][0] >= first:  # the cuts below this one
                     cuts.pop()
@@ -276,13 +275,12 @@ def _draw(getrandbits, carets: int, keys: set[int], cut: bool) -> tuple[Tree, li
                 pass
             at = leaf + (c == 2 and not left)  # the cherry's first leaf
             cherry, outer = at * n + 1, leaf * n + c
-            if not cut:
-                keys.add(cherry)
-                keys.add(outer)
-            if not cut or cherry not in keys:
+            record.add(cherry)
+            record.add(outer)
+            if cherry not in cancel:
                 done.append(_CHERRY if c == 1 else
                             _CHERRY_LEFT if left else _CHERRY_RIGHT)
-            elif c == 1 or outer not in keys:
+            elif c == 1 or outer not in cancel:
                 done.append(_CHERRY if c == 2 else LEAF)
                 cuts.append((at, 2, LEAF))
             else:
@@ -298,7 +296,7 @@ def random_tree(rng: random.Random, carets: int) -> Tree:
     if carets < 0:
         raise ValueError("caret count must be nonnegative")
     _check_carets(carets, "random_tree")
-    return _draw(rng.getrandbits, carets, set(), True)[0]  # no keys: nothing cut
+    return _draw(rng.getrandbits, carets, set(), set())[0]  # nothing cut
 
 
 def random_element(rng: random.Random, max_carets: int,
@@ -321,8 +319,8 @@ def random_element(rng: random.Random, max_carets: int,
     while True:
         carets = 1 + _randbelow(getrandbits, max_carets)
         keys: set[int] = set()
-        neg = _draw(getrandbits, carets, keys, False)[0]
-        pos, cuts = _draw(getrandbits, carets, keys, True)
+        neg = _draw(getrandbits, carets, keys, set())[0]
+        pos, cuts = _draw(getrandbits, carets, set(), keys)
         if not nontrivial or not pos.is_leaf:
             return _element(TreePair(_rebuild(neg, cuts), pos))
 

@@ -8,9 +8,9 @@ m such that both trees contain a caret whose two leaves are exposed and
 numbered m and m+1. Every element has a unique reduced pair, which is the
 canonical representative used throughout the package.
 
-All values here are immutable and hashable, so reduced pairs can serve
-directly as dictionary keys (the word-metric oracle depends on this).
-Every operation is a pure function; nothing needs synchronization.
+All values here are immutable and hashable; a tree's hash is one O(N)
+walk, and only the word-metric oracle's search hashes. Every operation
+is a pure function; nothing needs synchronization.
 
 Trees share untouched subtrees, and no walk here recurses more than 64
 levels deep, so Python's recursion limit bounds no element's size.
@@ -46,12 +46,12 @@ class ParseError(ValueError):
 class Tree:
     """Immutable rooted binary tree node.
 
-    ``Tree()`` is a leaf; ``Tree(left, right)`` is a caret. The leaf count
-    and a structural hash are cached at construction, so both are O(1)
-    and trees are cheap dict keys. Equal subtrees may be one shared object.
+    ``Tree()`` is a leaf; ``Tree(left, right)`` is a caret, with its leaf count
+    cached. Its hash is one O(N) walk over the leaf exponents, which fix the
+    shape; only the oracle's search hashes. Equal subtrees may be shared.
     """
 
-    __slots__ = ("left", "right", "leaves", "_hash")
+    __slots__ = ("left", "right", "leaves")
 
     def __init__(self, left: Tree | None = None, right: Tree | None = None):
         if (left is None) != (right is None):
@@ -59,7 +59,6 @@ class Tree:
         _set_left(self, left)
         _set_right(self, right)
         _set_leaves(self, 1 if left is None else left.leaves + right.leaves)
-        _set_hash(self, _LEAF_HASH if left is None else hash((left._hash, right._hash)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree values are immutable")
@@ -69,7 +68,7 @@ class Tree:
         return self.left is None
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(leaf_exponents(self))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tree):
@@ -79,7 +78,7 @@ class Tree:
             a, b = todo.pop()
             if a is b:
                 continue
-            if a._hash != b._hash or a.leaves != b.leaves:
+            if a.leaves != b.leaves:
                 return False
             if a.left is not None:  # equal leaf counts: b is a caret too
                 todo.append((a.left, b.left))
@@ -92,9 +91,8 @@ class Tree:
 
 # slot setters that bypass the immutability guard, for construction only
 _set_left, _set_right = Tree.left.__set__, Tree.right.__set__
-_set_leaves, _set_hash = Tree.leaves.__set__, Tree._hash.__set__
+_set_leaves = Tree.leaves.__set__
 _new = object.__new__
-_LEAF_HASH = hash(("tree-leaf",))
 LEAF = Tree()
 
 
@@ -105,7 +103,6 @@ def _node(left: Tree, right: Tree) -> Tree:
     _set_left(t, left)
     _set_right(t, right)
     _set_leaves(t, left.leaves + right.leaves)
-    _set_hash(t, hash((left._hash, right._hash)))
     return t
 
 

@@ -393,6 +393,14 @@ class TestShiftAndZGeneratorLimit:
                            match=f"^z_generator\\({cap // 2 - 1}\\) could need {cap + 1} carets"):
             z_generator(cap // 2 - 1)
 
+    def test_cap_checked_before_the_address_is_walked(self, monkeypatch):
+        def walked(address):
+            raise AssertionError("the address was walked")
+
+        monkeypatch.setattr(embeddings_module, "validate_address", walked)
+        with pytest.raises(group_module.CaretLimitError):
+            shift(generator(0), group_module._MAX_CARETS)
+
     def test_at_a_small_cap(self, monkeypatch):
         monkeypatch.setattr(group_module, "_MAX_CARETS", 13)
         assert shift(generator(0), 11).caret_count == 13

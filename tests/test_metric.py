@@ -707,9 +707,9 @@ class TestDrawIdentity:
         # every caret of the second draw cancels, up to the root caret
         rng = random.Random(carets)
         state, keys = rng.getstate(), set()
-        neg = metric_module._draw(rng.getrandbits, carets, keys, False)[0]
+        neg = metric_module._draw(rng.getrandbits, carets, keys, set())[0]
         rng.setstate(state)
-        pos, cuts = metric_module._draw(rng.getrandbits, carets, keys, True)
+        pos, cuts = metric_module._draw(rng.getrandbits, carets, set(), keys)
         assert caret_count(neg) == carets
         assert pos is LEAF and cuts == [(0, carets + 1, LEAF)]
 

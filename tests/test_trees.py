@@ -39,6 +39,7 @@ from thompsonf.trees import (
     _candidates,
     _node,
     _probe,
+    combs,
     expand_leaves,
     leaf_growths,
     union_tree,
@@ -209,7 +210,8 @@ class TestNodeFactory:
 
     def test_node_is_immutable(self):
         t = _node(LEAF, LL)
-        for name in ("left", "right", "leaves", "_hash"):
+        assert Tree.__slots__ == ("left", "right", "leaves")
+        for name in ("left", "right", "leaves"):
             with pytest.raises(AttributeError):
                 setattr(t, name, LEAF)
         assert format_tree(t) == "(L (L L))"
@@ -263,7 +265,14 @@ class TestLeafExponents:
 
     @given(trees())
     def test_exponent_vector_determines_tree(self, t):
-        assert tree_from_exponents(leaf_exponents(t)) == t
+        # a tree rebuilt from its exponents or its text is equal and hashes equal
+        for rebuilt in (tree_from_exponents(leaf_exponents(t)), parse_tree(format_tree(t))):
+            assert rebuilt == t and hash(rebuilt) == hash(t)
+
+    def test_deep_combs_hash_at_the_default_recursion_limit(self, default_recursion_limit):
+        right, left = combs(200_000)
+        assert hash(right) == hash(tree_from_exponents((0,) * 200_001))
+        assert hash(left) == hash(tree_from_exponents(leaf_exponents(left)))
 
     def test_six_leaf_vector_from_figure(self):
         # some tree realizes the exponent vector (1, 0, 1, 1, 0, 0)
