@@ -16,21 +16,9 @@ import io
 import sys
 
 from .embeddings import embed_f_z, embed_product
-from .group import (
-    element_of_word,
-    inverse,
-    multiply,
-    power,
-    verify_relators,
-)
-from .metric import (
-    EmbeddingSpec,
-    WordMetricOracle,
-    distortion_sweep,
-    metric_estimate,
-    product_spec,
-    sweep_to_csv,
-)
+from .group import element_of_word, inverse, multiply, power, verify_relators
+from .metric import (EmbeddingSpec, WordMetricOracle, distortion_sweep, metric_estimate,
+                     product_spec, sweep_to_csv)
 from .trees import format_pair, pair_to_dot
 from .words import parse_word
 

@@ -16,6 +16,7 @@ independent check; ``word_length`` reads only ``g.pair``.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain, repeat
 
 from .trees import Tree
 
@@ -140,14 +141,16 @@ def _count_spheres(radius: int) -> list[int]:
     dropped, so every pair counted is reduced.
 
     Each (neg state, pos state) pair packs its counts in one int, S bits a
-    weight, so a move of weight w is a shift by w S and a mask. The mask
-    drops only counts that must pass the radius (proved, not just checked).
-    Each weight W[x][y] is at least [x heavy] + [y heavy] and a step reads
-    one caret of each tree, so the weight still to come is at least h(neg) +
-    h(pos), h as in ``_heavy_to_read``.
+    weight, so a move of weight w is a shift by w S and a mask. The budget of
+    a pair is radius - h(neg) - h(pos), h as in ``_heavy_to_read``, and the
+    radius at the end: a move or descent is kept iff its weight is at most
+    the budget where it lands, masked to the weights up to it, so a negative
+    budget keeps nothing. Each W[x][y] >= [x heavy] + [y heavy] and a step
+    reads one caret of each tree, so the weight to come is at least h(neg) +
+    h(pos): only counts that must pass the radius drop (proved, not checked).
 
     Only pairs a <= b are kept: swapping the trees gives g^-1, of length
-    |g|, and W (None cells too), the cherry rule, the mask of (a, b) (it
+    |g|, and W (None cells too), the cherry rule, the budget of (a, b) (it
     reads h(a) + h(b)) and the automaton reading each tree are symmetric,
     so by induction (a, b) and (b, a) hold equal counts after each step and
     descent. From (a, a) a move pair is kept if it lands on x <= y, as its
@@ -166,15 +169,15 @@ def _count_spheres(radius: int) -> list[int]:
     rows = _reading_automaton(radius)
     n = len(rows)
     width = ((25 * (radius + 1) ** 2) ** (radius + 2)).bit_length()
-    fits = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)]
-    # Pair (a, b) is a n + b. The end's h, past the radius, cuts every pair
-    # read half; the end pair, the last, keeps the whole radius.
+    keep = [(1 << (top + 1) * width) - 1 for top in range(radius + 1)]  # weights <= top
+    # Pair (a, b) is a n + b. The end's h, past the radius, leaves every pair
+    # read half no budget; the end pair, the last, keeps the whole radius.
     heavy = [h for _, h, _ in rows[:-1]] + [radius + 1]
-    cut = fits[::-1] + [0] * 2 * max(heavy)  # cut[h] keeps weights <= radius - h
-    masks = [cut[x + y] for x in heavy for y in heavy]
-    masks[-1] = fits[radius]
+    budget_row = {h: [radius - h - y for y in heavy] for h in set(heavy)}  # one per h
+    budget = [*chain.from_iterable(map(budget_row.__getitem__, heavy))]
+    budget[-1] = radius
     descends = [waiting for _, _, waiting in rows]
-    sides = ((2 * n, [a for a in descends for _ in rows]), (2, descends * n))
+    sides = ((2 * n, [*chain.from_iterable(repeat(a, n) for a in descends)]), (2, descends * n))
 
     read = 1  # the packed counts of the pairs read to the end: the identity
     built: list[list[tuple[int, int, int]] | None] = [None] * (n * n)
@@ -185,32 +188,31 @@ def _count_spheres(radius: int) -> list[int]:
             found = built[pair]
             if found is None:  # (shift, next pair, mask) of each move pair that can finish
                 neg, pos = divmod(pair, n)
+                split = neg < pos
                 found = built[pair] = [
-                    (w * width + (neg < pos and x == y), to, masks[to])
+                    (w * width + (split and x == y), to, keep[budget[to]])
                     for neg_type, neg_cherry, x in rows[neg][0]
+                    for weights in (_WEIGHTS[neg_type],)
                     for pos_type, pos_cherry, y in rows[pos][0]
-                    if (w := _WEIGHTS[neg_type][pos_type]) is not None
-                    and not (neg_cherry and pos_cherry)
-                    and (neg < pos or x <= y)
-                    and masks[to := min(x, y) * n + max(x, y)] >> w * width]
+                    if (w := weights[pos_type]) is not None
+                    and not (neg_cherry and pos_cherry) and (split or x <= y)
+                    and w <= budget[to := x * n + y if x <= y else y * n + x]]
             for shift, to, mask in found:
                 if moved := (packed << shift) & mask:
                     nxt[to] += moved
         read += nxt.pop(n * n - 1, 0)
         nxt.update({pair % n * n + pair // n: packed for pair, packed in nxt.items()})
         # A descent may go one caret deeper, any number of times: its bottom
-        # caret then waits too. One tree at a time, fewest waiting first, so
-        # each count is complete before it is carried deeper.
+        # caret then waits too. One tree at a time, by increasing pair, as a
+        # descent lands on a larger one: each count is complete when carried.
         for step, depth in sides:
-            by_waiting: list[list[int]] = [[] for _ in range(radius + 1)]
-            for pair in nxt:
-                if depth[pair] >= 0:
-                    by_waiting[depth[pair]].append(pair)
-            for pairs in by_waiting:
-                for pair in pairs:
-                    if moved := nxt[pair] & masks[pair + step]:
-                        if pair + step not in nxt:
-                            by_waiting[depth[pair + step]].append(pair + step)
-                        nxt[pair + step] += moved
+            for pair in sorted([pair for pair in nxt if depth[pair] >= 0]):
+                moved = nxt[pair]
+                while (top := budget[pair + step]) >= 0 and (moved := moved & keep[top]):
+                    pair += step
+                    if pair in nxt or depth[pair] < 0:  # carried on in its own turn, or done
+                        nxt[pair] += moved
+                        break
+                    nxt[pair] = moved
         counts = {pair: packed for pair, packed in nxt.items() if pair // n <= pair % n}
-    return [read >> w * width & fits[0] for w in range(radius + 1)]
+    return [read >> w * width & keep[0] for w in range(radius + 1)]

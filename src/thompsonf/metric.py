@@ -53,8 +53,8 @@ from .trees import (_CHERRY, _CHERRY_LEFT, _CHERRY_RIGHT, LEAF, Tree, TreePair,
 
 DEFAULT_RADIUS_CAP = 9
 # Largest oracle cap. The constructor counts to its cap, which is cheap (12
-# takes 5 ms, 36 takes 0.4 s), but ball searches to it: radius 12 takes 33 s
-# and 420 MB, and each further sphere is about 2.8 times the last.
+# takes 2 ms and 36 takes 0.17 s, Python 3.11 on AMD EPYC), but ball searches
+# to it: radius 12 takes 33 s and 420 MB; each further sphere is ~2.8 times the last.
 _MAX_CAP = 12
 
 
@@ -217,6 +217,10 @@ def metric_estimate(g: GroupElement, oracle: WordMetricOracle | None = None,
     radius may not pass ``oracle.cap`` (the oracle's only use) or the default."""
     if search_radius is not None:
         _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
+    return _estimate(g, search_radius)
+
+
+def _estimate(g: GroupElement, search_radius: int | None) -> MetricEstimate:
     lower, upper = length_bounds(g)
     exact: int | None = 0 if g.is_identity else None
     if (exact is None and search_radius is not None and lower <= search_radius
@@ -379,7 +383,7 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
                      oracle: WordMetricOracle | None = None,
                      search_radius: int | None = None) -> list[DistortionSample]:
     """Sample random product elements, embed them, and record both norms;
-    ``oracle`` (only its cap) and ``search_radius`` go to ``metric_estimate``."""
+    ``search_radius`` is checked once, against ``oracle``'s cap (its only use)."""
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     if spec.n >= 1 and max_z < 1:
@@ -399,8 +403,8 @@ def distortion_sweep(spec: EmbeddingSpec, samples: int, seed: int = 0,
         else:
             image = embed(ws, ts)
         norm = sum(max(w.caret_count - 2, 0) for w in ws) + sum(abs(t) for t in ts)
-        estimate = metric_estimate(image, oracle=oracle, search_radius=search_radius)
-        out.append(DistortionSample(spec.m, spec.n, spec.addresses, norm, estimate))
+        out.append(DistortionSample(spec.m, spec.n, spec.addresses, norm,
+                                    _estimate(image, search_radius)))
     return out
 
 

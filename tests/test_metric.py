@@ -869,6 +869,20 @@ class TestSweep:
         assert len(samples) == 60
         assert (calls, plans) == ([], [("11", "0", "10")])
 
+    def test_sweep_checks_its_radius_once(self, monkeypatch):
+        # once per sweep, not once per sample; a direct metric_estimate call
+        # still checks its own radius
+        checked = []
+        real = metric_module._check_radius
+        monkeypatch.setattr(metric_module, "_check_radius",
+                            lambda *args: checked.append(args) or real(*args))
+        samples = distortion_sweep(f_z_spec(), 40, seed=3, search_radius=8,
+                                   oracle=WordMetricOracle(cap=8))
+        assert checked == [(8, 8)]
+        assert any(s.image.exact is not None for s in samples)
+        assert metric_estimate(embed_f_z(generator(0), 1), search_radius=8).exact is not None
+        assert checked == [(8, 8), (8, 9)]
+
     def test_phi_spec_names_the_address_its_image_uses(self):
         # embed_f_z always grafts at "11", so a phi spec may name no other
         assert f_z_spec() == EmbeddingSpec("phi", ("11",), 1, 1)

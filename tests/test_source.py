@@ -120,7 +120,7 @@ def test_sweep_and_metric_paths_grow_no_ball():
     metric = importlib.import_module("thompsonf.metric")
     cli = importlib.import_module("thompsonf.cli")
     search = {"WordMetricOracle", "exact_length", "_search"}
-    for function in (metric.metric_estimate, metric.distortion_sweep,
+    for function in (metric.metric_estimate, metric._estimate, metric.distortion_sweep,
                      cli._cmd_metric, cli._cmd_sweep):
         assert _names_used(function.__code__) & search == set(), function.__name__
 
