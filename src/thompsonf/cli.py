@@ -3,7 +3,8 @@
 Commands: nf, mul, inv, pow, metric, ball, embed-phi, embed-psi, sweep,
 render, verify. Output is deterministic for a fixed seed and flags; all
 numbers are exact integers or dyadic rationals and print in full. Exit
-status 0 on success, 1 on parse or validation failure, 2 on usage errors.
+status 0 on success, 1 on parse or validation failure or an unwritable
+``--out``, 2 on usage errors.
 
 ``main`` builds only the parser of the command that ``argv[0]`` names; for
 help, no command or an unknown one it builds the parser of every command.
@@ -212,8 +213,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out is not None:  # opened only now, so a failed command keeps the file
-        with open(args.out, "w", newline="") as f:
-            f.write(out.getvalue())
+        try:
+            with open(args.out, "w", newline="") as f:
+                f.write(out.getvalue())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return code
 
 

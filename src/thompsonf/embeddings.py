@@ -51,10 +51,18 @@ from .words import NormalForm, _spine_slots
 
 
 def shift(g: GroupElement, k: int = 1) -> GroupElement:
-    """k-fold shift: every normal form index rises by k; N grows by k."""
+    """k-fold shift: every normal form index rises by k; N grows by k unless
+    g is the identity, which maps to itself. The clone map along "1" * k,
+    built as g's trees under a right spine of k carets, with no address."""
     if k < 0:
         raise ValueError("shift amount must be nonnegative")
-    return clone_map("1" * k, g)
+    if g.is_identity:
+        return g
+    _check_carets(g.caret_count + k, f"clone map at depth {k}")
+    neg, pos = g.pair.neg, g.pair.pos
+    for _ in range(k):
+        neg, pos = _node(LEAF, neg), _node(LEAF, pos)
+    return _element(TreePair(neg, pos))
 
 
 def clone_map(address: str, g: GroupElement) -> GroupElement:

@@ -15,7 +15,9 @@ word of n letters in runs of indices i_1, i_2, ... costs O(n + i_1 + i_2 +
 ...). ``generator``, ``power``, ``from_normal_form``, the embeddings' shift
 and Z generators, clone maps, F x Z images and product embeddings, and the
 random sampler refuse, before building anything, elements that could need
-more than ``_MAX_CARETS`` carets.
+more than ``_MAX_CARETS`` carets. The shift builds no address string, so it
+refuses a deep shift before allocating one, and it returns the identity at
+any depth.
 """
 
 from __future__ import annotations
@@ -120,18 +122,12 @@ def identity() -> GroupElement:
 
 def generator(index: int) -> GroupElement:
     """The generator x_index: the comb pair (R_2, L_2) under a right spine of
-    index carets, built by _run_power in O(index) new nodes."""
+    index carets, in O(index) new nodes."""
+    if index < 0:
+        raise ValueError("generator index must be nonnegative")
     _check_carets(index + 2, f"generator x{index}")
-    return _run_power(Letter(index, 1), 1)
-
-
-def _run_power(letter: Letter, k: int) -> GroupElement:
-    """x_i^{+-k} for the letter x_i^{+-1}, the i-fold shift of x0^{+-k}: the
-    comb pair (R_{k+1}, L_{k+1}), swapped for x_i^-1, under a right spine of
-    i carets. O(i) new nodes; trees.combs shares combs up to 64 carets."""
-    right, left = combs(k + 1)
-    neg, pos = (right, left) if letter.sign > 0 else (left, right)
-    for _ in range(letter.index):
+    neg, pos = combs(2)
+    for _ in range(index):
         neg, pos = _node(LEAF, neg), _node(LEAF, pos)
     return _element(TreePair(neg, pos))
 
@@ -275,20 +271,21 @@ class RelatorReport:
         return tuple(name for name, ok in self.entries if not ok)
 
 
-def verify_relators(max_index: int = 8) -> RelatorReport:
+_RELATOR_INDEX = 8  # the largest j of the sampled infinite-presentation relations
+
+
+def verify_relators() -> RelatorReport:
     """Check both finite-presentation relators and the sampled infinite
-    presentation relations x_i^-1 x_j x_i = x_{j+1} for i < j <= max_index."""
-    if max_index < 0:
-        raise ValueError("max_index must be nonnegative")
-    gens = [generator(i) for i in range(max_index + 2)]  # each built once
+    presentation relations x_i^-1 x_j x_i = x_{j+1} for i < j <= 8: 38 in all."""
+    gens = [generator(i) for i in range(_RELATOR_INDEX + 2)]  # each built once
     x0, x1 = gens[0], gens[1]
     z = multiply(x0, inverse(x1))
     conj1 = multiply(multiply(inverse(x0), x1), x0)
     conj2 = multiply(multiply(power(x0, -2), x1), power(x0, 2))
     entries = [("[x0 x1^-1, x0^-1 x1 x0]", commutator(z, conj1).is_identity),
                ("[x0 x1^-1, x0^-2 x1 x0^2]", commutator(z, conj2).is_identity)]
-    for i in range(max_index):
-        for j in range(i + 1, max_index + 1):
+    for i in range(_RELATOR_INDEX):
+        for j in range(i + 1, _RELATOR_INDEX + 1):
             lhs = multiply(multiply(inverse(gens[i]), gens[j]), gens[i])
             entries.append((f"x{i}^-1 x{j} x{i} = x{j + 1}", lhs == gens[j + 1]))
     return RelatorReport(tuple(entries))

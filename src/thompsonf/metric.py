@@ -181,9 +181,11 @@ class WordMetricOracle:
         return stats
 
     def exact_length(self, g: GroupElement, max_radius: int | None = None) -> int | None:
-        """|g| if at most max_radius (default: the cap), else None, by the weights."""
+        """|g| if at most max_radius (default: the cap), else None, by the
+        weights. The radius may not pass the cap."""
         radius = self.cap if max_radius is None else max_radius
-        return metric_estimate(g, self, radius).exact
+        _check_radius(radius, self.cap)
+        return _estimate(g, radius).exact
 
 
 @dataclass(frozen=True)
@@ -211,12 +213,12 @@ def check_bounds_on_ball(radius: int) -> BoundsReport:
     return BoundsReport(radius, len(ball) - 1, tuple(violations))
 
 
-def metric_estimate(g: GroupElement, oracle: WordMetricOracle | None = None,
-                    search_radius: int | None = None) -> MetricEstimate:
+def metric_estimate(g: GroupElement, search_radius: int | None = None) -> MetricEstimate:
     """Bundle N(g), its bracket and, if at most ``search_radius``, |g|. The
-    radius may not pass ``oracle.cap`` (the oracle's only use) or the default."""
+    radius may not pass the default cap; ``WordMetricOracle.exact_length``
+    checks against its own."""
     if search_radius is not None:
-        _check_radius(search_radius, DEFAULT_RADIUS_CAP if oracle is None else oracle.cap)
+        _check_radius(search_radius)
     return _estimate(g, search_radius)
 
 

@@ -256,6 +256,13 @@ class TestErrors:
             assert main([*argv, "--out", str(path)]) == 1
             assert path.read_bytes() == b"keep me\n"
 
+    def test_out_flag_to_an_unwritable_path_is_an_error(self, capsys, tmp_path):
+        # tmp_path is a directory, so opening it for writing fails
+        code, out, err = run(capsys, "nf", "x1 x0", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 def test_readme_examples_print_their_comments(capsys):
     # the README's command-line lines whose comment is the exact output, or

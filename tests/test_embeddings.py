@@ -394,12 +394,18 @@ class TestShiftAndZGeneratorLimit:
             z_generator(cap // 2 - 1)
 
     def test_cap_checked_before_the_address_is_walked(self, monkeypatch):
-        def walked(address):
-            raise AssertionError("the address was walked")
+        # the shift builds no address: the identity shifts to itself at any
+        # depth, and a shift over the cap is refused before anything is built
+        def built(*args):
+            raise AssertionError("an address was built")
 
-        monkeypatch.setattr(embeddings_module, "validate_address", walked)
-        with pytest.raises(group_module.CaretLimitError):
-            shift(generator(0), group_module._MAX_CARETS)
+        for name in ("clone_map", "validate_address", "graft_at"):
+            monkeypatch.setattr(embeddings_module, name, built)
+        cap = group_module._MAX_CARETS
+        assert shift(identity(), cap + 1) == identity()
+        with pytest.raises(group_module.CaretLimitError,
+                           match=f"^clone map at depth {cap} could need {cap + 2} carets"):
+            shift(generator(0), cap)
 
     def test_at_a_small_cap(self, monkeypatch):
         monkeypatch.setattr(group_module, "_MAX_CARETS", 13)

@@ -36,10 +36,11 @@ from conftest import el, elements, large_elements
 
 
 def fold_of_runs(word):
-    """The reference route: one product per run of k letters x_i^{+-1}."""
+    """The reference route: one product per run of k letters x_i^{+-1}, each
+    run x_i^{+-k} built by products as power(generator(i), +-k)."""
     acc = identity()
     for letter, run in groupby(word):
-        acc = multiply(acc, group_module._run_power(letter, sum(1 for _ in run)))
+        acc = multiply(acc, power(generator(letter.index), letter.sign * sum(1 for _ in run)))
     return acc
 
 
@@ -98,11 +99,6 @@ class TestPinnedRelation:
         # two finite relators plus the sampled relations for 0 <= i < j <= 8
         assert len(report.entries) == 2 + 9 * 8 // 2
 
-    def test_verify_relators_refuses_a_negative_index(self):
-        with pytest.raises(ValueError, match="^max_index must be nonnegative$"):
-            verify_relators(-1)
-        assert verify_relators(0).passed  # the two finite relators alone
-
 
 class TestPowers:
     def test_power_zero_and_negative(self):
@@ -155,7 +151,7 @@ class TestCaretLimit:
 
     def test_generator_and_normal_form_just_over_the_cap_raise(self, monkeypatch):
         cap = group_module._MAX_CARETS
-        monkeypatch.setattr(group_module, "_run_power", None)  # nothing may be built
+        monkeypatch.setattr(group_module, "combs", None)  # nothing may be built
         monkeypatch.setattr(group_module, "normal_form_to_tree_pair", None)
         with pytest.raises(group_module.CaretLimitError,
                            match=f"^generator x{cap - 1} could need {cap + 1} carets"):

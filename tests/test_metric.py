@@ -589,10 +589,9 @@ class TestBoundsOnBall:
 
 class TestMetricEstimate:
     def test_estimate_with_lookup(self):
-        oracle = WordMetricOracle()
-        est = metric_estimate(generator(2), oracle=oracle, search_radius=4)
+        est = metric_estimate(generator(2), search_radius=4)
         assert est == MetricEstimate(4, 2, 12, 3)
-        est = metric_estimate(identity(), oracle=oracle)
+        est = metric_estimate(identity())
         assert est.exact == 0
 
     def test_exact_equals_the_search_on_the_radius_7_ball(self, ball9):
@@ -604,12 +603,12 @@ class TestMetricEstimate:
     def test_radius_checked_against_the_given_cap(self):
         g = generator(2)
         with pytest.raises(ValueError, match="^radius 4 exceeds the oracle cap 3$"):
-            metric_estimate(g, oracle=WordMetricOracle(cap=3), search_radius=4)
+            WordMetricOracle(cap=3).exact_length(g, 4)
         with pytest.raises(ValueError, match="^radius 10 exceeds the oracle cap 9$"):
             metric_estimate(g, search_radius=10)
         with pytest.raises(ValueError, match="^radius must be nonnegative$"):
             metric_estimate(g, search_radius=-1)
-        assert metric_estimate(g, oracle=WordMetricOracle(cap=10), search_radius=10).exact == 3
+        assert WordMetricOracle(cap=10).exact_length(g, 10) == 3
         # the identity's radius is checked too, though its length needs none
         with pytest.raises(ValueError, match="^radius must be nonnegative$"):
             metric_estimate(identity(), search_radius=-1)
@@ -881,7 +880,7 @@ class TestSweep:
         assert checked == [(8, 8)]
         assert any(s.image.exact is not None for s in samples)
         assert metric_estimate(embed_f_z(generator(0), 1), search_radius=8).exact is not None
-        assert checked == [(8, 8), (8, 9)]
+        assert checked == [(8, 8), (8,)]
 
     def test_phi_spec_names_the_address_its_image_uses(self):
         # embed_f_z always grafts at "11", so a phi spec may name no other

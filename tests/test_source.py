@@ -153,6 +153,44 @@ def test_only_cancel_probes():
     assert set(callers) == {"trees._cancel"}
 
 
+def _defaulted_parameters(node, prefix):
+    """(function, parameter) names of every defaulted parameter below node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                found += [f"{name}.{a.arg}" for a in defaulted]
+            found += _defaulted_parameters(child, name)
+        else:
+            found += _defaulted_parameters(child, prefix)
+    return found
+
+
+def test_every_defaulted_parameter_is_listed():
+    # each knob has a program caller (library, CLI, demos or benchmark) that
+    # sets a second value, or a reason in the change log; a new one must
+    # extend this list, as a new export must extend EXPORTS
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in _defaulted_parameters(ast.parse(path.read_text(), str(path)),
+                                               path.stem)]
+    assert found == [
+        "cli.build_parser.command", "cli.main.argv", "embeddings.shift.k",
+        "metric._check_radius.cap", "metric.WordMetricOracle.__init__.cap",
+        "metric.WordMetricOracle.exact_length.max_radius",
+        "metric.metric_estimate.search_radius", "metric.random_element.nontrivial",
+        "metric.distortion_sweep.seed", "metric.distortion_sweep.max_carets",
+        "metric.distortion_sweep.max_z", "metric.distortion_sweep.oracle",
+        "metric.distortion_sweep.search_radius", "trees.Tree.__init__.left",
+        "trees.Tree.__init__.right", "words.tree_pair_to_normal_form.check",
+    ]
+
+
 ROOT = SRC.parents[1]
 
 EXPORTS = {
